@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .errors import ConfigError, MagheatError, PresetError
 from .harness import (EXPERIMENT_KINDS, ExperimentConfig, compare,
-                      load_summary, run, run_suite)
+                      load_summary, preset_suite, run, run_suite)
 
 
 def _build_parser():
@@ -47,21 +47,14 @@ def main(argv=None):
             if args.workers > 1:
                 records = run_suite(args.name, out_dir=args.out, workers=args.workers)
             else:
-                from .harness import preset_suite
-
-                records = []
-                for cfg in preset_suite(args.name):
-                    records.append(run(cfg, out_dir=args.out))
-                    summary = load_summary(records[-1].outputs[0])
-                    print(f"{summary['label']}: {'pass' if summary['pass'] else 'FAIL'} "
-                          f"({records[-1].wall_clock:.1f}s)", flush=True)
-            ok = all(load_summary(rec.outputs[0])["pass"] for rec in records)
-            if args.workers > 1:
-                for rec in records:
-                    summary = load_summary(rec.outputs[0])
-                    print(f"{summary['label']}: "
-                          f"{'pass' if summary['pass'] else 'FAIL'} "
-                          f"({rec.wall_clock:.1f}s)")
+                # lazily, so each result prints as soon as its run ends
+                records = (run(cfg, out_dir=args.out) for cfg in preset_suite(args.name))
+            ok = True
+            for rec in records:
+                summary = load_summary(rec.outputs[0])
+                ok &= summary["pass"]
+                print(f"{summary['label']}: {'pass' if summary['pass'] else 'FAIL'} "
+                      f"({rec.wall_clock:.1f}s)", flush=True)
             return 0 if ok else 1
         if args.command == "compare":
             sa, sb = load_summary(args.a), load_summary(args.b)

@@ -25,7 +25,6 @@ from .errors import (BoundaryContaminationError, FrameMapError,
 from .field import GaugeField
 
 CG_RTOL = 1e-10
-PHASE_CACHE_RTOL = 1e-4     # reuse link phases while e^{s/2} moves less than this
 BOUNDARY_MASS_TOL = 1e-8
 
 
@@ -217,11 +216,11 @@ def evolve_selfsimilar(field, v0, s_final, ds):
     """Evolve the confined non-autonomous equation in self-similar variables.
 
     The generator is rebuilt at the midpoint of every step (second order in
-    ds); link phases are reused while the scale factor moves by less than
-    ``PHASE_CACHE_RTOL``.  The recorded weighted norm is the plain norm of the
-    evolved representative, which coincides with the weighted norm of the
-    solution in the original representation; the companion plain norm divides
-    the weight back out.
+    ds), except for a zero field, whose generator does not depend on s and is
+    built once.  The recorded weighted norm is the plain norm of the evolved
+    representative, which coincides with the weighted norm of the solution in
+    the original representation; the companion plain norm divides the weight
+    back out.
     """
     if v0.frame != "self-similar":
         raise ValueError("initial state must be in the self-similar frame")
@@ -249,15 +248,10 @@ def evolve_selfsimilar(field, v0, s_final, ds):
     values = v0.values.copy()
     s = v0.time
     n_steps = int(round((s_final - v0.time) / ds))
-    cached_scale, phases, stepper = None, None, None
+    stepper = None
     for _ in range(n_steps):
-        s_mid = s + ds / 2.0
-        scale = math.exp(s_mid / 2.0)
-        if cached_scale is None or (
-                not field.is_zero
-                and abs(scale / cached_scale - 1.0) >= PHASE_CACHE_RTOL):
-            phases = peierls_phases(grid, gauge, s=s_mid)
-            cached_scale = scale
+        if stepper is None or not field.is_zero:
+            phases = peierls_phases(grid, gauge, s=s + ds / 2.0)
             op = assemble_magnetic(grid, phases, harmonic=True)
             stepper = _CrankNicolson(op, ds)
         values = stepper.step(values)

@@ -111,11 +111,6 @@ class MagneticField:
         return out
 
     @property
-    def is_radial(self):
-        """True when the field is rotationally symmetric about the origin."""
-        return all(c.center == (0.0, 0.0) for c in self.components)
-
-    @property
     def is_zero(self):
         return all(c.amplitude == 0.0 for c in self.components)
 
@@ -196,82 +191,35 @@ def field_from_descriptor(desc):
 # alpha(r, theta) and the flux functionals
 
 
-def _ray_disc_interval(comp, cos_t, sin_t):
-    """Intersection [t0, t1] of the ray tau*(cos,sin), tau>=0 with the component disc."""
-    cx, cy = comp.center
-    b = cx * cos_t + cy * sin_t
-    c = cx * cx + cy * cy - comp.radius**2
-    disc = b * b - c
-    if disc <= 0.0:
-        return None
-    sq = math.sqrt(disc)
-    t0, t1 = b - sq, b + sq
-    if t1 <= 0.0:
-        return None
-    return max(t0, 0.0), t1
-
-
-def compute_alpha(field, r, theta):
+def alpha_batch(field, r, theta):
     """Radial line integral alpha(r, theta) = int_0^r B(tau cos, tau sin) tau dtau.
 
-    Adaptive quadrature (absolute tolerance ``ALPHA_TOL``); constant in r
-    beyond the support radius.
-    """
-    r = float(r)
-    theta = float(theta)
-    if r <= 0.0:
-        return 0.0
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    total = 0.0
-    for comp in field.components:
-        if comp.amplitude == 0.0:
-            continue
-        if comp.center == (0.0, 0.0):
-            rc = min(r, comp.radius)
-            if comp.profile == "step":
-                total += comp.amplitude * rc * rc / 2.0
-            else:
-                u = rc / comp.radius
-                total += comp.amplitude * rc * rc * float(_bump_cumulative_ratio(u))
-            continue
-        iv = _ray_disc_interval(comp, cos_t, sin_t)
-        if iv is None:
-            continue
-        t0, t1 = iv[0], min(iv[1], r)
-        if t1 <= t0:
-            continue
-        val, err = quad(
-            lambda tau: float(comp.eval(tau * cos_t, tau * sin_t)) * tau,
-            t0, t1, epsabs=ALPHA_TOL * 0.1, epsrel=1e-12, limit=200)
-        if err > ALPHA_TOL:
-            raise QuadratureError(
-                f"alpha quadrature error {err:.2e} exceeds {ALPHA_TOL} for {field.kind}")
-        total += val
-    return total
-
-
-def alpha_batch(field, r, theta):
-    """Vectorized alpha over broadcastable arrays of (r, theta).
-
-    Fixed-order Gauss-Legendre along each ray; the integrands are either
-    handled in closed form (centered components) or smooth bumps, so 64 nodes
-    sit far below ``ALPHA_TOL``.
+    Vectorized over broadcastable arrays of (r, theta), and the one place
+    alpha is computed.  Centred components have a closed form in r alone;
+    off-centre ones use fixed-order Gauss-Legendre along each ray across the
+    component disc, where the integrand is a smooth bump and 64 nodes sit far
+    below ``ALPHA_TOL``.  cos and sin of theta are only taken when an
+    off-centre component needs them; for radial fields they would double the
+    cost of the gauge potential.
     """
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     r, theta = np.broadcast_arrays(r, theta)
     out = np.zeros(r.shape)
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    direction = None
     for comp in field.components:
         if comp.amplitude == 0.0:
             continue
         if comp.center == (0.0, 0.0):
-            rc = np.minimum(r, comp.radius)
+            rc = np.clip(r, 0.0, comp.radius)
             if comp.profile == "step":
                 out += comp.amplitude * rc * rc / 2.0
             else:
                 out += comp.amplitude * rc * rc * _bump_cumulative_ratio(rc / comp.radius)
             continue
+        if direction is None:
+            direction = np.cos(theta), np.sin(theta)
+        cos_t, sin_t = direction
         cx, cy = comp.center
         b = cx * cos_t + cy * sin_t
         c = cx * cx + cy * cy - comp.radius**2
@@ -290,7 +238,7 @@ def alpha_batch(field, r, theta):
 
 def alpha_infinity(field, theta):
     """Limit of alpha(r, theta) as r -> infinity, attained at the support radius."""
-    return compute_alpha(field, field.support_radius, theta)
+    return alpha_batch(field, field.support_radius, theta)
 
 
 def total_flux(field):
@@ -359,31 +307,6 @@ def flux_at(field, r):
     return total / (2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class FluxProfile:
-    """Bundled flux functionals of one field."""
-
-    field: MagneticField
-    total_flux: float
-    beta: float
-
-    def alpha(self, r, theta):
-        return compute_alpha(self.field, r, theta)
-
-    def alpha_inf(self, theta):
-        return alpha_infinity(self.field, theta)
-
-    def flux_at(self, r):
-        if r >= self.field.support_radius:
-            return self.total_flux
-        return flux_at(self.field, r)
-
-
-def flux_profile(field):
-    phi = total_flux(field)
-    return FluxProfile(field=field, total_flux=phi, beta=abs(phi - round(phi)))
-
-
 # ---------------------------------------------------------------------------
 # transverse gauge
 
@@ -399,22 +322,7 @@ class GaugeField:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         r = np.hypot(x, y)
-        if self.source.is_radial:
-            out = np.zeros(r.shape)
-            for comp in self.source.components:
-                if comp.amplitude == 0.0:
-                    continue
-                rc = np.minimum(r, comp.radius)
-                if comp.profile == "step":
-                    a_val = comp.amplitude * rc * rc / 2.0
-                else:
-                    a_val = comp.amplitude * rc * rc * _bump_cumulative_ratio(rc / comp.radius)
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    out += np.where(r > 0.0, a_val / np.maximum(r, 1e-300) ** 2,
-                                    comp.amplitude / 2.0)
-            return out
-        theta = np.arctan2(y, x)
-        a_val = alpha_batch(self.source, r, theta)
+        a_val = alpha_batch(self.source, r, np.arctan2(y, x))
         with np.errstate(invalid="ignore", divide="ignore"):
             g = np.where(r > 0.0, a_val / np.maximum(r, 1e-300) ** 2, 0.0)
         if np.any(r == 0.0):

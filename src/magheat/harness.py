@@ -13,10 +13,12 @@ import math
 import os
 import tempfile
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
+from scipy.integrate import quad
 
 from . import __version__
 from .decay import ReportConfig, fit_exponential_rate, fit_polynomial_rate, theorem_report
@@ -24,7 +26,7 @@ from .discretize import assemble_magnetic, assemble_radial, build_grid, peierls_
 from .errors import ConfigError, PresetError
 from .evolve import (energy_bound_check, evolve_physical, evolve_selfsimilar,
                      gaussian_state)
-from .exact import ab_spectrum, laguerre
+from .exact import ab_spectrum, free_gaussian_norm, laguerre
 from .field import (GaugeField, beta_of, field_from_descriptor, flux_at,
                     total_flux)
 from .spectral import (hardy_constant, lambda_curve, lambda_limit_estimate,
@@ -266,14 +268,12 @@ def _run_spectrum_exact(cfg, out):
 
     # Laguerre orthogonality under the weight x^mu e^{-x}: adaptive quadrature
     # (the fractional-power weight defeats fixed Gauss rules near zero)
-    from math import gamma
-    from scipy.integrate import quad as _quad
     worst = 0.0
     for mu in (0.3, 0.5, 2.0):
         for n1 in range(4):
-            norm = gamma(n1 + mu + 1.0) / math.factorial(n1)
+            norm = math.gamma(n1 + mu + 1.0) / math.factorial(n1)
             for n2 in range(n1 + 1, 4):
-                val, _ = _quad(
+                val, _ = quad(
                     lambda x, a=n1, b=n2, m=mu: x**m * math.exp(-x)
                     * float(laguerre(a, m, x)) * float(laguerre(b, m, x)),
                     0.0, 60.0, epsabs=1e-12, epsrel=1e-11, limit=200)
@@ -389,7 +389,6 @@ def _run_evolve(cfg, out):
         traj = evolve_physical(fld, u0, ev.get("t_final", 10.0), ev.get("dt", 0.1))
         summary = {"frame": frame, "k_norm_initial": traj.points[0].k_norm}
         if ev.get("oracle") == "free-gaussian":
-            from .exact import free_gaussian_norm
             expected = free_gaussian_norm(traj.times, width) / free_gaussian_norm(0.0, width)
             rel = np.abs(traj.l2_norms / traj.l2_norms[0] / expected - 1.0)
             summary["oracle_max_rel_dev"] = float(rel.max())
@@ -594,7 +593,6 @@ def run_suite(name, out_dir=None, workers=1):
     configs = preset_suite(name)
     if workers <= 1:
         return [run(cfg, out_dir=out_dir) for cfg in configs]
-    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(run, cfg, out_dir) for cfg in configs]
         return [f.result() for f in futures]
@@ -615,8 +613,15 @@ def _walk(prefix, obj, leaves):
         leaves[prefix] = obj
 
 
+_MISSING = object()
+
+
 def compare(summary_a, summary_b, rtol=1e-9, atol=1e-12):
-    """Field-by-field numeric diff of two summary dicts of the same kind."""
+    """Field-by-field numeric diff of two summary dicts of the same kind.
+
+    A key present on one side only is a diff, reported as ``"<missing>"``;
+    equal values agree whatever their type, ``None`` included.
+    """
     if summary_a.get("kind") != summary_b.get("kind"):
         raise ConfigError(
             f"cannot compare kinds {summary_a.get('kind')!r} and {summary_b.get('kind')!r}")
@@ -627,9 +632,9 @@ def compare(summary_a, summary_b, rtol=1e-9, atol=1e-12):
     for key in sorted(set(la) | set(lb)):
         if key in ("label", "seed"):
             continue
-        va, vb = la.get(key), lb.get(key)
-        if va is None or vb is None:
-            diffs[key] = {"a": va, "b": vb}
+        va, vb = la.get(key, _MISSING), lb.get(key, _MISSING)
+        if va is _MISSING or vb is _MISSING:
+            diffs[key] = {"a": la.get(key, "<missing>"), "b": lb.get(key, "<missing>")}
         elif isinstance(va, bool) or isinstance(vb, bool):
             if va != vb:
                 diffs[key] = {"a": va, "b": vb}

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -120,14 +121,10 @@ def check_s_cap(grid, field, s_values):
             f"(support {field.support_radius}, h = {grid.h:.4f})")
 
 
-_FLOOR_CACHE = {}
-
-
+@lru_cache
 def _diamagnetic_floor(grid, tol, seed):
-    key = (grid.r_dom, grid.n)
-    if key not in _FLOOR_CACHE:
-        _FLOOR_CACHE[key] = _lambda_once(_ZERO_FIELD, 0.0, grid, tol, seed, 1)[0]
-    return _FLOOR_CACHE[key]
+    """Zero-field lambda(0) on ``grid``: the floor every lambda(s) there obeys."""
+    return _lambda_once(_ZERO_FIELD, 0.0, grid, tol, seed, 1)[0]
 
 
 def lambda_curve(field, s_values, grid, tol=1e-8, seed=0):
@@ -227,7 +224,7 @@ def variational_upper_bound(field, s, n, r_infinity=30.0, theta_points=64):
     nodes, weights = np.polynomial.legendre.leggauss(theta_points)
     thetas = math.pi * (nodes + 1.0)
     w_theta = math.pi * weights
-    a_inf = np.array([alpha_infinity(field, th) for th in thetas])
+    a_inf = alpha_infinity(field, thetas)
     scale = math.exp(s / 2.0)
 
     def mismatch(r):

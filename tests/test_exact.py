@@ -104,8 +104,7 @@ def test_ab_eigenfunction_radial_ode_residual(n, m, flux):
 def test_angular_modes_orthonormal_and_periodic():
     f = mh.make_field("offset-bump", {"b0": 1.0, "r": 1.0, "center": [0.7, 0.3]})
     flux = mh.total_flux(f)
-    a_inf = lambda th: mh.field.alpha_batch(f, np.full_like(np.asarray(th, float),
-                                                            f.support_radius), th)
+    a_inf = lambda th: mh.alpha_infinity(f, th)
     modes = [mh.angular_mode(m, flux, a_inf) for m in (-1, 0, 2)]
     theta = np.linspace(0, 2 * np.pi, 2048, endpoint=False)
     for i, mi in enumerate(modes):
@@ -119,8 +118,7 @@ def test_angular_modes_orthonormal_and_periodic():
 def test_angular_mode_k_eigenvalue():
     f = mh.make_field("offset-bump", {"b0": 1.0, "r": 1.0, "center": [0.7, 0.3]})
     flux = mh.total_flux(f)
-    a_inf = lambda th: mh.field.alpha_batch(f, np.full_like(np.asarray(th, float),
-                                                            f.support_radius), th)
+    a_inf = lambda th: mh.alpha_infinity(f, th)
     mode = mh.angular_mode(2, flux, a_inf)
     theta = np.linspace(0.3, 5.0, 11)
     h = 1e-5

@@ -2,11 +2,38 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import dblquad
+from scipy.integrate import dblquad, quad
 
 import magheat as mh
 from magheat.errors import PresetError
-from magheat.field import alpha_batch, flux_at
+from magheat.field import ALPHA_TOL, alpha_batch, flux_at
+
+
+def alpha_oracle(field, r, theta):
+    """Adaptive-quadrature alpha(r, theta), independent of ``alpha_batch``.
+
+    Every component, centred ones included, is integrated along the ray over
+    its intersection with the component disc, so no closed form is shared
+    with the kernel under test.
+    """
+    if r <= 0.0:
+        return 0.0
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    total = 0.0
+    for comp in field.components:
+        cx, cy = comp.center
+        b = cx * cos_t + cy * sin_t
+        disc = b * b - (cx * cx + cy * cy - comp.radius**2)
+        if comp.amplitude == 0.0 or disc <= 0.0:
+            continue
+        t0, t1 = max(b - math.sqrt(disc), 0.0), min(b + math.sqrt(disc), r)
+        if t1 <= t0:
+            continue
+        val, err = quad(lambda tau: float(comp.eval(tau * cos_t, tau * sin_t)) * tau,
+                        t0, t1, epsabs=ALPHA_TOL * 0.1, epsrel=1e-12, limit=200)
+        assert err <= ALPHA_TOL
+        total += val
+    return total
 
 
 def test_radial_step_support():
@@ -63,29 +90,46 @@ def test_make_field_errors():
         mh.make_field("dipole-pair", {"b0": 1.0, "r": 2.0, "center": [1.0, 0.0]})
 
 
-def test_compute_alpha_closed_forms(step_half):
-    assert mh.compute_alpha(step_half, 0.5, 0.1) == pytest.approx(0.125, abs=1e-12)
-    assert mh.compute_alpha(step_half, 3.0, 2.0) == pytest.approx(0.5, abs=1e-12)
-    assert mh.compute_alpha(step_half, 0.0, 0.3) == 0.0
+def test_alpha_batch_closed_forms(step_half):
+    r = np.array([0.5, 3.0, 0.0, -0.5])
+    theta = np.array([0.1, 2.0, 0.3, 0.0])
+    expected = np.array([0.125, 0.5, 0.0, 0.0])
+    assert np.allclose(alpha_batch(step_half, r, theta), expected, rtol=0, atol=1e-12)
+    oracle = [alpha_oracle(step_half, ri, ti) for ri, ti in zip(r, theta)]
+    assert np.allclose(oracle, expected, rtol=0, atol=1e-12)
 
 
 def test_alpha_constant_beyond_support(offset_bump, rng):
     thetas = rng.uniform(0, 2 * np.pi, 16)
     rs = offset_bump.support_radius
-    for th in thetas:
-        a1 = mh.compute_alpha(offset_bump, rs, th)
-        a2 = mh.compute_alpha(offset_bump, 3.0 * rs, th)
-        assert a1 == pytest.approx(a2, abs=1e-12)
-        assert mh.alpha_infinity(offset_bump, th) == pytest.approx(a1, abs=1e-12)
+    a1 = alpha_batch(offset_bump, rs, thetas)
+    assert np.allclose(alpha_batch(offset_bump, 3.0 * rs, thetas), a1, rtol=0, atol=1e-12)
+    assert np.array_equal(mh.alpha_infinity(offset_bump, thetas), a1)
+    oracle = [alpha_oracle(offset_bump, 3.0 * rs, th) for th in thetas]
+    assert np.allclose(oracle, a1, rtol=0, atol=1e-10)
 
 
-def test_alpha_batch_matches_scalar(offset_bump, dipole, rng):
-    for f in (offset_bump, dipole):
+def test_alpha_batch_matches_scalar(step_half, bump_field, offset_bump, dipole, rng):
+    for f in (step_half, bump_field, offset_bump, dipole):
         r = rng.uniform(0, 1.5 * f.support_radius, 40)
         th = rng.uniform(0, 2 * np.pi, 40)
         batch = alpha_batch(f, r, th)
-        scalar = np.array([mh.compute_alpha(f, ri, ti) for ri, ti in zip(r, th)])
+        scalar = np.array([alpha_oracle(f, ri, ti) for ri, ti in zip(r, th)])
         assert np.max(np.abs(batch - scalar)) < 1e-10
+
+
+def test_peierls_phases_route_through_alpha_batch(step_half, offset_bump, monkeypatch):
+    calls = []
+
+    def counting(field, r, theta):
+        calls.append(field)
+        return alpha_batch(field, r, theta)
+
+    monkeypatch.setattr(mh.field, "alpha_batch", counting)
+    grid = mh.build_grid(4.0, 16)
+    for f in (step_half, offset_bump):
+        mh.peierls_phases(grid, mh.gauge_field(f), s=1.0)
+        assert f in calls
 
 
 def test_alpha_infinity_radial_step(step_half):
@@ -105,19 +149,14 @@ def test_alpha_infinity_offset_mean_is_flux(offset_bump):
     assert max(vals) - min(vals) > 0.1
 
 
-def test_beta_examples():
+def test_beta_examples(step_half):
     for target, expected in ((0.5, 0.5), (1.3, 0.3), (2.0, 0.0)):
         f = mh.make_field("scaled-to-flux", {"target": target, "r": 1.0})
         assert mh.beta_of(f) == pytest.approx(expected, abs=1e-10)
-
-
-def test_flux_profile_bundle(step_half):
-    prof = mh.flux_profile(step_half)
-    assert prof.total_flux == pytest.approx(0.5, abs=1e-10)
-    assert prof.beta == pytest.approx(0.5, abs=1e-10)
-    assert prof.flux_at(0.5) == pytest.approx(0.125, abs=1e-9)
-    assert prof.flux_at(2.0) == prof.total_flux
-    assert prof.alpha(0.5, 0.0) == pytest.approx(0.125, abs=1e-12)
+    assert mh.total_flux(step_half) == pytest.approx(0.5, abs=1e-10)
+    assert mh.beta_of(step_half) == pytest.approx(0.5, abs=1e-10)
+    assert flux_at(step_half, 0.5) == pytest.approx(0.125, abs=1e-12)
+    assert flux_at(step_half, 2.0) == pytest.approx(mh.total_flux(step_half), abs=1e-12)
 
 
 def test_vector_potential_examples(step_half):

@@ -68,6 +68,10 @@ def test_compare_identical_and_kind_mismatch(tmp_path):
     rec = run(cfg, out_dir=tmp_path)
     summary = load_summary(rec.outputs[0])
     assert compare(summary, summary) == {}
+    # equal Nones agree; a key on one side only is still a diff
+    assert compare({"kind": "k", "x": None}, {"kind": "k", "x": None}) == {}
+    assert compare({"kind": "k", "x": None}, {"kind": "k"}) == {
+        "x": {"a": None, "b": "<missing>"}}
     other = dict(summary, kind="hardy")
     with pytest.raises(ConfigError):
         compare(summary, other)

@@ -52,6 +52,16 @@ def test_lambda_curve_zero_field(zero_field):
         assert smp.residual <= 1e-8
 
 
+def test_lambda_curve_floor_cache_keys_tol(zero_field):
+    floor = mh.spectral._diamagnetic_floor
+    floor.cache_clear()
+    grid = mh.build_grid(6.0, 24)
+    for tol in (1e-8, 1e-8, 1e-6):
+        mh.lambda_curve(zero_field, [0.0], grid, tol=tol)
+    info = floor.cache_info()
+    assert (info.hits, info.misses) == (1, 2)
+
+
 def test_lambda_curve_resolution_cap(step_half):
     grid = mh.build_grid(8.0, 64)
     cap = grid.s_max(step_half.support_radius)
