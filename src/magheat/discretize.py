@@ -16,13 +16,14 @@ lattice gradient of any function leaves the spectrum unchanged.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
-from .field import GaugeField
+from .field import GaugeField, is_finite_real
 
 # 3-point Gauss-Legendre on [0, 1]
 _GL3_NODES = np.array([0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)])
@@ -58,10 +59,13 @@ class Grid2D:
 
 
 def build_grid(r_dom, n):
-    if r_dom <= 0.0:
-        raise ValueError(f"r_dom must be positive, got {r_dom}")
-    if n < 16:
-        raise ValueError(f"n must be >= 16, got {n}")
+    """Validated :class:`Grid2D`: a finite r_dom > 0 and an integral n >= 16."""
+    if not (is_finite_real(r_dom) and r_dom > 0.0):
+        raise ValueError(f"r_dom must be a positive finite number, got {r_dom!r}")
+    if isinstance(n, float) and n.is_integer():
+        n = int(n)
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 16:
+        raise ValueError(f"n must be an integer >= 16, got {n!r}")
     return Grid2D(r_dom=float(r_dom), n=int(n))
 
 

@@ -13,6 +13,8 @@ line integral of B along the ray of direction theta.
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,22 +24,36 @@ from scipy.integrate import quad
 
 from .errors import PresetError, QuadratureError
 
-PRESET_KINDS = ("radial-step", "radial-bump", "offset-bump", "dipole-pair", "scaled-to-flux")
+# the parameters each preset takes
+_PRESET_PARAMS = {
+    "radial-step": ("b0", "r"),
+    "radial-bump": ("b0", "r"),
+    "offset-bump": ("b0", "r", "center"),
+    "dipole-pair": ("b0", "r", "center"),
+    "scaled-to-flux": ("target", "r"),
+}
+PRESET_KINDS = tuple(_PRESET_PARAMS)
 
 ALPHA_TOL = 1e-10   # absolute tolerance of radial line integrals
 FLUX_TOL = 1e-9     # absolute tolerance of the total-flux quadrature
 
 _GL64_NODES, _GL64_WEIGHTS = np.polynomial.legendre.leggauss(64)
+_GL64_UNIT = 0.5 * (_GL64_NODES + 1.0)   # the nodes mapped onto [0, 1]
+_RAY_BLOCK = 1024   # rays per block of the off-centre quadrature in alpha_batch
 
 
-def _bump_profile(u):
-    """Smooth compactly supported reference profile on [0, 1)."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    ui = u[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - ui * ui))
-    return out
+def _profile_sq(profile, u2):
+    """Reference profile as a function of u^2 = (|x - c| / R)^2.
+
+    "step" is 1 on the open unit disc, "bump" is exp(1 - 1/(1 - u^2)) there;
+    both vanish for u^2 >= 1.  Clamping 1 - u^2 at 0 instead of masking keeps
+    the bump finite (exactly 0) on and beyond the rim.
+    """
+    u2 = np.asarray(u2, dtype=float)
+    if profile == "step":
+        return (u2 < 1.0).astype(float)
+    with np.errstate(divide="ignore"):
+        return np.exp(1.0 - 1.0 / np.maximum(1.0 - u2, 0.0))
 
 
 @lru_cache(maxsize=1)
@@ -46,7 +62,7 @@ def _bump_cumulative_cheb():
     def jq_scalar(u):
         if u < 1e-8:
             return 0.5
-        val, _ = quad(lambda v: float(_bump_profile(v)) * v, 0.0, u,
+        val, _ = quad(lambda v: float(_profile_sq("bump", v * v)) * v, 0.0, u,
                       epsabs=1e-14, epsrel=1e-13, limit=200)
         return val / u**2
 
@@ -65,7 +81,7 @@ def _bump_cumulative_ratio(u):
 @lru_cache(maxsize=1)
 def bump_flux_unit():
     """Flux of the unit bump (amplitude 1, radius 1): int_0^1 bump(v) v dv."""
-    val, _ = quad(lambda v: float(_bump_profile(v)) * v, 0.0, 1.0,
+    val, _ = quad(lambda v: float(_profile_sq("bump", v * v)) * v, 0.0, 1.0,
                   epsabs=1e-14, epsrel=1e-13, limit=200)
     return val
 
@@ -82,10 +98,7 @@ class FieldComponent:
     def eval(self, x, y):
         dx = np.asarray(x, dtype=float) - self.center[0]
         dy = np.asarray(y, dtype=float) - self.center[1]
-        rho = np.hypot(dx, dy)
-        if self.profile == "step":
-            return np.where(rho < self.radius, self.amplitude, 0.0)
-        return self.amplitude * _bump_profile(rho / self.radius)
+        return self.amplitude * _profile_sq(self.profile, (dx * dx + dy * dy) / self.radius**2)
 
     def flux(self):
         """Contribution to (1/2pi) int B dx, i.e. amplitude * R^2 * profile moment."""
@@ -123,6 +136,22 @@ class MagneticField:
         return {"kind": self.kind, "params": dict(self.params)}
 
 
+def is_finite_real(value):
+    """True for a finite real number; booleans and strings are not numbers here."""
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) \
+            and math.isfinite(value)
+    except OverflowError:   # an int beyond the float range
+        return False
+
+
+def _real(name, value):
+    """``value`` as a float, or a :class:`PresetError` naming ``name``."""
+    if not is_finite_real(value):
+        raise PresetError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
 def make_field(kind, params):
     """Construct a preset field.
 
@@ -133,49 +162,48 @@ def make_field(kind, params):
         ``dipole-pair``, ``scaled-to-flux``.
     params : dict
         Per-preset real parameters: amplitude ``b0``, support radius ``r``,
-        offset ``center`` and flux ``target`` where applicable.
+        offset ``center`` and flux ``target`` where applicable.  A missing
+        parameter takes its default; an unknown or non-numeric one is a
+        :class:`PresetError`.
     """
     if kind not in PRESET_KINDS:
         raise PresetError(f"unknown preset kind {kind!r}; expected one of {PRESET_KINDS}")
+    if not isinstance(params, Mapping):
+        raise PresetError(f"preset parameters must be a mapping, got {params!r}")
     p = dict(params)
-    radius = float(p.get("r", 1.0))
-    if not radius > 0.0:
-        raise PresetError(f"support radius must be positive, got {radius}")
+    unknown = set(p) - set(_PRESET_PARAMS[kind])
+    if unknown:
+        raise PresetError(f"unknown {kind} parameters {sorted(unknown, key=str)}; "
+                          f"expected some of {_PRESET_PARAMS[kind]}")
+    radius = _real("support radius r", p.get("r", 1.0))
+    if not (radius > 0.0 and 0.0 < radius * radius < math.inf):
+        raise PresetError(f"support radius must be positive with a finite square, got {radius}")
+    if kind == "scaled-to-flux":
+        b0 = _real("target flux", p.get("target", 1.0)) / (radius**2 * bump_flux_unit())
+    else:
+        b0 = _real("amplitude b0", p.get("b0", 1.0))
+    if not math.isfinite(b0):
+        raise PresetError(f"amplitude {b0} is not finite")
+    cx = cy = 0.0
+    if kind in ("offset-bump", "dipole-pair"):
+        center = p.get("center", (0.0, 0.0) if kind == "offset-bump" else (1.5, 0.0))
+        if not (isinstance(center, (list, tuple)) and len(center) == 2):
+            raise PresetError(f"center must be a pair of real numbers, got {center!r}")
+        cx, cy = (_real("center coordinate", v) for v in center)
+    support = math.hypot(cx, cy) + radius
+    if not math.isfinite(support):
+        raise PresetError(f"support radius {support} is not finite")
 
-    if kind in ("radial-step", "radial-bump"):
-        b0 = float(p.get("b0", 1.0))
-        if not math.isfinite(b0):
-            raise PresetError("amplitude b0 must be finite")
-        profile = "step" if kind == "radial-step" else "bump"
-        comps = (FieldComponent(profile, b0, radius, (0.0, 0.0)),)
-        support = radius
-    elif kind == "offset-bump":
-        b0 = float(p.get("b0", 1.0))
-        if not math.isfinite(b0):
-            raise PresetError("amplitude b0 must be finite")
-        cx, cy = (float(v) for v in p.get("center", (0.0, 0.0)))
-        comps = (FieldComponent("bump", b0, radius, (cx, cy)),)
-        support = math.hypot(cx, cy) + radius
-    elif kind == "dipole-pair":
-        b0 = float(p.get("b0", 1.0))
-        if not math.isfinite(b0):
-            raise PresetError("amplitude b0 must be finite")
-        cx, cy = (float(v) for v in p.get("center", (1.5, 0.0)))
+    if kind == "dipole-pair":
         sep = 2.0 * math.hypot(cx, cy)
         if sep <= 2.0 * radius:
             raise PresetError(
                 f"dipole-pair supports overlap: center separation {sep} <= 2 r = {2*radius}")
         comps = (FieldComponent("bump", b0, radius, (cx, cy)),
                  FieldComponent("bump", -b0, radius, (-cx, -cy)))
-        support = math.hypot(cx, cy) + radius
-    else:  # scaled-to-flux
-        target = float(p.get("target", 1.0))
-        if not math.isfinite(target):
-            raise PresetError("target flux must be finite")
-        b0 = target / (radius**2 * bump_flux_unit())
-        comps = (FieldComponent("bump", b0, radius, (0.0, 0.0)),)
-        support = radius
-
+    else:
+        profile = "step" if kind == "radial-step" else "bump"
+        comps = (FieldComponent(profile, b0, radius, (cx, cy)),)
     return MagneticField(kind=kind, params=p, components=comps, support_radius=support)
 
 
@@ -195,12 +223,17 @@ def alpha_batch(field, r, theta):
     """Radial line integral alpha(r, theta) = int_0^r B(tau cos, tau sin) tau dtau.
 
     Vectorized over broadcastable arrays of (r, theta), and the one place
-    alpha is computed.  Centred components have a closed form in r alone;
-    off-centre ones use fixed-order Gauss-Legendre along each ray across the
-    component disc, where the integrand is a smooth bump and 64 nodes sit far
-    below ``ALPHA_TOL``.  cos and sin of theta are only taken when an
-    off-centre component needs them; for radial fields they would double the
-    cost of the gauge potential.
+    alpha is computed.  Centred components have a closed form in r alone.
+    Off-centre ones use 64-node Gauss-Legendre along each ray over its chord
+    [t0, t1] through the component disc, where the integrand is a smooth bump
+    and 64 nodes sit far below ``ALPHA_TOL``.  With b = c . (cos, sin) the
+    integrand is evaluated in chord coordinates,
+    |tau (cos, sin) - c|^2 = tau^2 - 2 b tau + |c|^2, so no Cartesian node is
+    formed; rays whose chord has zero width are skipped, and the rest run in
+    blocks of ``_RAY_BLOCK`` rows, so the scratch space is a few small
+    (block x 64) arrays whatever the number of points.  cos and sin of theta
+    are only taken when an off-centre component needs them; for radial fields
+    they would double the cost of the gauge potential.
     """
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -221,18 +254,23 @@ def alpha_batch(field, r, theta):
             direction = np.cos(theta), np.sin(theta)
         cos_t, sin_t = direction
         cx, cy = comp.center
+        c2 = cx * cx + cy * cy
         b = cx * cos_t + cy * sin_t
-        c = cx * cx + cy * cy - comp.radius**2
-        disc = b * b - c
-        has = disc > 0.0
-        sq = np.sqrt(np.where(has, disc, 0.0))
+        disc = b * b - (c2 - comp.radius**2)
+        sq = np.sqrt(np.maximum(disc, 0.0))
         t0 = np.maximum(b - sq, 0.0)
-        t1 = np.minimum(b + sq, r)
-        width = np.where(has, np.maximum(t1 - t0, 0.0), 0.0)
-        # map GL nodes from [-1,1] onto each [t0, t1]
-        tau = t0[..., None] + (0.5 * (_GL64_NODES + 1.0)) * width[..., None]
-        vals = comp.eval(tau * cos_t[..., None], tau * sin_t[..., None]) * tau
-        out += 0.5 * width * (vals @ _GL64_WEIGHTS)
+        width = np.minimum(b + sq, r) - t0
+        # a NaN r is kept, so that it propagates as in the closed form
+        hit = np.flatnonzero((disc > 0.0) & ~(width <= 0.0))
+        b, t0, width = b.ravel(), t0.ravel(), width.ravel()
+        flat = out.reshape(-1)
+        for start in range(0, hit.size, _RAY_BLOCK):
+            rows = hit[start:start + _RAY_BLOCK]
+            tau = t0[rows, None] + width[rows, None] * _GL64_UNIT
+            u2 = (tau * (tau - 2.0 * b[rows, None]) + c2) / comp.radius**2
+            vals = _profile_sq(comp.profile, u2)
+            vals *= tau
+            flat[rows] += (0.5 * comp.amplitude) * width[rows] * (vals @ _GL64_WEIGHTS)
     return out
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import tempfile
 import time
@@ -28,7 +29,7 @@ from .evolve import (energy_bound_check, evolve_physical, evolve_selfsimilar,
                      gaussian_state)
 from .exact import ab_spectrum, free_gaussian_norm, laguerre
 from .field import (GaugeField, beta_of, field_from_descriptor, flux_at,
-                    total_flux)
+                    is_finite_real, total_flux)
 from .spectral import (hardy_constant, lambda_curve, lambda_limit_estimate,
                        smallest_eigs)
 
@@ -36,6 +37,67 @@ EXPERIMENT_KINDS = ("flux", "gauge-check", "spectrum-exact", "spectrum-numeric",
                     "lambda-curve", "hardy", "evolve", "decay-report")
 
 OUT_DIR_ENV = "MAGHEAT_OUT"
+
+
+_HARDY_SWEEP = (8.0, 16.0, 32.0)   # default hardy r_dom sweep
+_HARDY_H = 0.25                     # default hardy mesh width
+
+
+def _is_positive(v):
+    return is_finite_real(v) and v > 0
+
+
+def _is_count(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0
+
+
+def _list_of(item_ok):
+    return lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(item_ok, v))
+
+
+def _check(name, value, ok, expected, allow_none=True):
+    if not ((allow_none and value is None) or ok(value)):
+        raise ConfigError(f"{name} must be {expected}, got {value!r}")
+
+
+def _check_entries(name, value, checks, allow_none=True):
+    """``value`` is an object with keys from ``checks`` whose entries pass them.
+
+    A check of ``None`` leaves the entry to the code that consumes it.
+    """
+    if allow_none and value is None:
+        return
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    unknown = set(value) - set(checks)
+    if unknown:
+        raise ConfigError(f"unknown {name} entries {sorted(unknown, key=str)}; "
+                          f"expected some of {sorted(checks)}")
+    for key, item in value.items():
+        if checks[key] is not None and not checks[key](item):
+            raise ConfigError(f"invalid {name} entry {key!r}: {item!r}")
+
+
+# what validate() accepts in each config object
+_TOLERANCES = {
+    **dict.fromkeys(("transversality", "hermiticity", "gauge_invariance", "level_rel",
+                     "floor", "limit_abs", "positive", "oracle_rel"), is_finite_real),
+    "monotone_approach": lambda v: isinstance(v, bool),
+}
+_RADIAL = {"r_max": _is_positive, "m_points": _is_count}
+_EVOLVE = {
+    "frame": lambda v: v in ("physical", "self-similar"),
+    "width": _is_positive, "t_final": _is_positive, "dt": _is_positive,
+    "s_final": _is_positive, "ds": _is_positive,
+    "oracle": lambda v: v == "free-gaussian",
+    "fit_window": lambda v: _list_of(is_finite_real)(v) and len(v) == 2 and v[0] < v[1],
+    "energy_bound": lambda v: isinstance(v, bool),
+}
+
+
+def _hardy_n(r_dom, h):
+    """Interior points per axis of the hardy grid of half-width r_dom and mesh width h."""
+    return int(round(2.0 * r_dom / h)) - 1
 
 
 @dataclass
@@ -75,7 +137,7 @@ class ExperimentConfig:
         known = set(cls.__dataclass_fields__)
         unknown = set(data) - known
         if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+            raise ConfigError(f"unknown config fields: {sorted(unknown, key=str)}")
         missing = {"kind", "label"} - set(data)
         if missing:
             raise ConfigError(f"missing required config fields: {sorted(missing)}")
@@ -87,13 +149,31 @@ class ExperimentConfig:
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}; "
                               f"expected one of {EXPERIMENT_KINDS}")
-        if not self.label or any(c in self.label for c in "/\\"):
+        if not isinstance(self.label, str) or self.label in ("", ".", "..") \
+                or any(c in self.label for c in "/\\"):
             raise ConfigError(f"label must be a non-empty path-safe name, got {self.label!r}")
+        _check("seed", self.seed, _is_count, "a non-negative integer", allow_none=False)
+        _check("count", self.count, lambda v: _is_count(v) and v >= 1, "a positive integer")
+        _check("h", self.h, _is_positive, "a positive finite number")
+        _check("s_values", self.s_values, _list_of(lambda v: is_finite_real(v) and v >= 0),
+               "a non-empty list of finite numbers >= 0")
+        _check("fluxes", self.fluxes, _list_of(is_finite_real),
+               "a non-empty list of finite numbers")
+        _check("sweep", self.sweep, _list_of(_is_positive),
+               "a non-empty list of positive finite numbers")
+        _check_entries("tolerances", self.tolerances, _TOLERANCES, allow_none=False)
+        _check_entries("radial", self.radial, _RADIAL)
+        _check_entries("evolve", self.evolve, _EVOLVE)
+        _check_entries("report", self.report, dict.fromkeys(ReportConfig.__dataclass_fields__))
+        _check_entries("grid", self.grid, dict.fromkeys(("r_dom", "n")))
         if self.grid is not None:
-            if self.grid.get("r_dom", 0) <= 0 or self.grid.get("n", 0) < 16:
-                raise ConfigError(f"invalid grid {self.grid}")
-        if self.s_values is not None and any(s < 0 for s in self.s_values):
-            raise ConfigError("s_values must be >= 0")
+            self.build_grid()
+        if self.kind == "hardy":
+            h = self.h or _HARDY_H
+            for r_dom in self.sweep or _HARDY_SWEEP:
+                if not (math.isfinite(2.0 * r_dom / h) and _hardy_n(r_dom, h) >= 16):
+                    raise ConfigError(f"hardy sweep entry r_dom={r_dom} at h={h}: the grid "
+                                      f"needs a finite round(2 r_dom / h) - 1 >= 16 points")
         if self.kind not in ("spectrum-exact", "spectrum-numeric") and self.field is None:
             raise ConfigError(f"kind {self.kind!r} requires a field descriptor")
         if self.field is not None:
@@ -110,7 +190,10 @@ class ExperimentConfig:
     def build_grid(self):
         if self.grid is None:
             raise ConfigError("config has no grid")
-        return build_grid(self.grid["r_dom"], self.grid["n"])
+        try:
+            return build_grid(self.grid["r_dom"], self.grid["n"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid grid {self.grid!r}: {exc}") from exc
 
 
 @dataclass
@@ -358,12 +441,10 @@ def _run_lambda_curve(cfg, out):
 
 def _run_hardy(cfg, out):
     fld = cfg.build_field()
-    sweep = cfg.sweep or [8.0, 16.0, 32.0]
-    h = cfg.h or 0.25
+    h = cfg.h or _HARDY_H
     estimates = []
-    for r_dom in sweep:
-        n = int(round(2.0 * r_dom / h)) - 1
-        est = hardy_constant(fld, r_dom, n, seed=cfg.seed)
+    for r_dom in cfg.sweep or _HARDY_SWEEP:
+        est = hardy_constant(fld, r_dom, _hardy_n(r_dom, h), seed=cfg.seed)
         estimates.append({"r_dom": est.r_dom, "n": est.n, "c_est": est.c_est})
     cs = [e["c_est"] for e in estimates]
     flags = {}

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .discretize import Grid2D, assemble_magnetic, peierls_phases
+from .discretize import assemble_magnetic, build_grid, peierls_phases
 from .errors import ResolutionCapError, SolverConvergenceError
 from .field import GaugeField, alpha_batch, alpha_infinity, beta_of, make_field
 
@@ -246,7 +246,7 @@ def hardy_constant(field, r_dom, n, seed=0, max_iter=400, rtol=1e-10):
     Smallest generalized eigenvalue of (magnetic Laplacian, weight) on the
     truncated grid by inverse-power iteration on the weighted problem.
     """
-    grid = Grid2D(r_dom=float(r_dom), n=int(n))
+    grid = build_grid(r_dom, n)
     phases = peierls_phases(grid, GaugeField(field), s=None)
     op = assemble_magnetic(grid, phases, harmonic=False)
     X, Y = grid.mesh()

@@ -18,6 +18,16 @@ def test_build_grid_spacing():
         mh.build_grid(4.0, 8)
     with pytest.raises(ValueError):
         mh.build_grid(-1.0, 64)
+    assert mh.build_grid(4.0, 32.0) == mh.build_grid(4.0, 32)
+
+
+@pytest.mark.parametrize("r_dom, n", [
+    (math.nan, 32), (math.inf, 32), ("7", 32), (None, 32), (True, 32),
+    pytest.param(10**400, 32, id="int-beyond-float-32"),
+    (4.0, 32.5), (4.0, "32"), (4.0, math.nan), (4.0, math.inf), (4.0, True)])
+def test_build_grid_rejects_malformed(r_dom, n):
+    with pytest.raises(ValueError):
+        mh.build_grid(r_dom, n)
 
 
 def test_zero_field_phases(zero_field):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.integrate import dblquad, quad
 
 import magheat as mh
 from magheat.errors import PresetError
-from magheat.field import ALPHA_TOL, alpha_batch, flux_at
+from magheat.field import ALPHA_TOL, FieldComponent, MagneticField, alpha_batch, flux_at
 
 
 def alpha_oracle(field, r, theta):
@@ -88,6 +89,14 @@ def test_make_field_errors():
         mh.make_field("radial-step", {"b0": 1.0, "r": -2.0})
     with pytest.raises(PresetError):
         mh.make_field("dipole-pair", {"b0": 1.0, "r": 2.0, "center": [1.0, 0.0]})
+    for kind, params in (("radial-step", {"b0": "a"}), ("radial-bump", {"r": math.inf}),
+                         ("radial-step", {"b0": True}), ("radial-step", {"radius": 2.0}),
+                         ("offset-bump", {"center": ["a", 0.0]}),
+                         ("offset-bump", {"center": [1.0, 2.0, 3.0]}),
+                         ("dipole-pair", {"center": "12"}), ("radial-step", "ab"),
+                         ("scaled-to-flux", {"r": 1e-200}), ("scaled-to-flux", {"r": 1e200})):
+        with pytest.raises(PresetError):
+            mh.make_field(kind, params)
 
 
 def test_alpha_batch_closed_forms(step_half):
@@ -109,6 +118,13 @@ def test_alpha_constant_beyond_support(offset_bump, rng):
     assert np.allclose(oracle, a1, rtol=0, atol=1e-10)
 
 
+def _tangent_angles(comp):
+    """Directions of the two rays from the origin tangent to a component disc."""
+    cx, cy = comp.center
+    half = math.asin(comp.radius / math.hypot(cx, cy))
+    return math.atan2(cy, cx) - half, math.atan2(cy, cx) + half
+
+
 def test_alpha_batch_matches_scalar(step_half, bump_field, offset_bump, dipole, rng):
     for f in (step_half, bump_field, offset_bump, dipole):
         r = rng.uniform(0, 1.5 * f.support_radius, 40)
@@ -116,6 +132,59 @@ def test_alpha_batch_matches_scalar(step_half, bump_field, offset_bump, dipole, 
         batch = alpha_batch(f, r, th)
         scalar = np.array([alpha_oracle(f, ri, ti) for ri, ti in zip(r, th)])
         assert np.max(np.abs(batch - scalar)) < 1e-10
+
+    # deterministic edge cases of the ray/disc geometry
+    far = mh.make_field("offset-bump", {"b0": 1.0, "r": 1.0, "center": [2.0, 1.0]})
+    rim = mh.make_field("offset-bump", {"b0": 1.0, "r": 1.0, "center": [1.0, 0.0]})
+    cases = [(far, []), (dipole, []), (offset_bump, []), (rim, [])]
+    for f, pairs in cases[:2]:
+        for comp in f.components:
+            for th in _tangent_angles(comp):
+                # exactly tangent, and a hair inside (tiny positive discriminant)
+                for dth in (0.0, 1e-9, -1e-9):
+                    pairs += [(r, th + dth) for r in (2.0, f.support_radius, 10.0)]
+    cases[1][1].extend([(r, th) for th in (0.5 * np.pi, 1.0, -2.0)   # rays missing both discs
+                        for r in (1.0, 2.5, 9.0)])
+    cases[1][1].extend([(1.2, 0.0), (1.5, 0.1), (1.7, np.pi - 0.05)])  # r inside a disc
+    cases[2][1].extend([(0.3, th) for th in (0.0, 2.0, 4.0)])          # origin inside the disc
+    cases[3][1].extend([(r, th) for r in (0.5, 1.0, 3.0) for th in (0.0, 1.0, 1.5, 1.6)])
+    for f, pairs in cases:
+        pairs += [(0.0, th) for th in (0.0, 1.0, 3.0)]
+        r, th = np.array(pairs).T
+        batch = alpha_batch(f, r, th)
+        assert np.all(np.isfinite(batch))
+        scalar = np.array([alpha_oracle(f, ri, ti) for ri, ti in pairs])
+        assert np.max(np.abs(batch - scalar)) < 1e-10
+        assert np.all(batch[r == 0.0] == 0.0)
+
+
+def test_alpha_batch_offcentre_step(rng):
+    # an off-centre step integrates tau over the chord: (t1^2 - t0^2) / 2
+    comp = FieldComponent("step", 2.0, 0.5, (1.0, 0.5))
+    f = MagneticField("custom", {}, (comp,), support_radius=math.hypot(1.0, 0.5) + 0.5)
+    r = rng.uniform(0.0, 2.0, 200)
+    th = rng.uniform(-0.2, 1.2, 200)   # around the window [0, 0.93] of the disc
+    b = np.cos(th) + 0.5 * np.sin(th)
+    sq = np.sqrt(np.maximum(b * b - (1.25 - 0.25), 0.0))
+    t0, t1 = np.clip(b - sq, 0.0, r), np.clip(b + sq, 0.0, r)
+    expected = np.where(b * b > 1.0, comp.amplitude * (t1**2 - t0**2) / 2.0, 0.0)
+    assert np.count_nonzero(expected) > 50
+    assert np.max(np.abs(alpha_batch(f, r, th) - expected)) < 1e-10
+
+
+def test_alpha_batch_working_set(offset_bump):
+    # the off-centre quadrature runs in fixed blocks, so its scratch space does
+    # not grow with the point count (a points x 64 layout needs over 500 MB here)
+    rng = np.random.default_rng(7)
+    r = rng.uniform(0.0, 3.0, 100_000)
+    th = rng.uniform(0.0, 2 * np.pi, 100_000)
+    tracemalloc.start()
+    try:
+        alpha_batch(offset_bump, r, th)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
 
 
 def test_peierls_phases_route_through_alpha_batch(step_half, offset_bump, monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -199,6 +200,42 @@ def test_cli_compare(tmp_path):
                              field=mh.harness.DIPOLE_FIELD)
     rec3 = run(other, out_dir=tmp_path / "c")
     assert main(["compare", rec1.outputs[0], rec3.outputs[0]]) == 1
+
+
+_STEP = {"kind": "radial-step", "params": {"b0": 1.0, "r": 1.0}}
+_GRID = {"r_dom": 7.0, "n": 32}
+MALFORMED = {
+    "grid-r_dom-string": {"kind": "lambda-curve", "field": _STEP,
+                          "grid": {"r_dom": "7", "n": 32}},
+    "grid-r_dom-nan": {"kind": "lambda-curve", "field": _STEP,
+                       "grid": {"r_dom": math.nan, "n": 32}},
+    "grid-n-fractional": {"kind": "lambda-curve", "field": _STEP,
+                          "grid": {"r_dom": 7.0, "n": 32.5}},
+    "field-b0-string": {"kind": "flux", "field": {"kind": "radial-step", "params": {"b0": "a"}}},
+    "field-center-string": {"kind": "flux",
+                            "field": {"kind": "offset-bump", "params": {"center": ["a", 0.0]}}},
+    "field-center-scalar": {"kind": "flux",
+                            "field": {"kind": "offset-bump", "params": {"center": 1.0}}},
+    "evolve-frame": {"kind": "evolve", "field": _STEP, "grid": _GRID,
+                     "evolve": {"frame": "sideways"}},
+    "hardy-degenerate-grid": {"kind": "hardy", "field": _STEP, "h": 5.0, "sweep": [4.0]},
+    "hardy-negative-h": {"kind": "hardy", "field": _STEP, "h": -0.25},
+    "hardy-infinite-sweep": {"kind": "hardy", "field": _STEP, "sweep": [math.inf]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_cli_malformed_config_exit_code(tmp_path, name):
+    # each is a config error (exit 2) caught before any output is written
+    from magheat.cli import main
+
+    config = {"label": "bad", **MALFORMED[name]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main([config["kind"], "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "bad").exists()
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(config)
 
 
 def test_config_validates_field_descriptor():

@@ -136,16 +136,23 @@ def test_lambda_curve_integer_flux_decreasing_toward_half():
 
 
 def test_hardy_zero_field_decreases(zero_field):
+    # h = 0.5; r_dom = 4.25 is the smallest half-width with n >= 16
     ests = [mh.hardy_constant(zero_field, r_dom, int(2 * r_dom / 0.5) - 1)
-            for r_dom in (4.0, 8.0, 16.0)]
+            for r_dom in (4.25, 8.0, 16.0)]
     cs = [e.c_est for e in ests]
     assert cs[0] > cs[1] > cs[2] > 0.0
 
 
 def test_hardy_half_flux_uniformly_positive(step_half):
     ests = [mh.hardy_constant(step_half, r_dom, int(2 * r_dom / 0.5) - 1)
-            for r_dom in (4.0, 8.0, 16.0)]
+            for r_dom in (4.25, 8.0, 16.0)]
     assert min(e.c_est for e in ests) > 0.05
+
+
+def test_hardy_constant_rejects_degenerate_grid(step_half):
+    # the grid goes through build_grid, so n = 1 no longer yields an estimate
+    with pytest.raises(ValueError, match="n must be"):
+        mh.hardy_constant(step_half, 4.0, 1)
 
 
 def test_hardy_ab_radial_comparison():
