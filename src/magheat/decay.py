@@ -14,11 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import Grid2D
+from .discretize import build_grid
 from .evolve import (energy_bound_check, evolve_physical, evolve_selfsimilar,
                      gaussian_state)
 from .field import beta_of, total_flux
 from .spectral import c_b_estimate, lambda_curve, lambda_limit_estimate
+
+INITIAL_DATA = ("gaussian", "shifted", "odd")   # names _initial_state knows
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,7 @@ class ReportConfig:
     width: float = 1.5
     fit_window: tuple = (4.0, 12.0)
     ss_fit_window: tuple = (2.0, 4.0)
-    initial_data: tuple = ("gaussian", "shifted", "odd")
+    initial_data: tuple = INITIAL_DATA
     # tolerances
     gamma_tol: float = 0.05
     lambda_tol: float = 0.05
@@ -131,13 +133,13 @@ def theorem_report(field, config=None):
     beta = beta_of(field)
     target = (1.0 + beta) / 2.0
 
-    grid_ss = Grid2D(r_dom=cfg.ss_r_dom, n=cfg.ss_n)
+    grid_ss = build_grid(cfg.ss_r_dom, cfg.ss_n)
     samples = lambda_curve(field, list(cfg.s_values), grid_ss, seed=cfg.seed)
     lam_extrap = lambda_limit_estimate(samples)
     lam_raw = samples[-1].lam
     c_b = c_b_estimate(field, _dense_grid(cfg.s_values), grid_ss, seed=cfg.seed)
 
-    grid_ph = Grid2D(r_dom=cfg.phys_r_dom, n=cfg.phys_n)
+    grid_ph = build_grid(cfg.phys_r_dom, cfg.phys_n)
     gamma_fits = {}
     global_bound_ok = True
     global_bound_margin = math.inf

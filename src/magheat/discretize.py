@@ -29,6 +29,10 @@ from .field import GaugeField, is_finite_real
 _GL3_NODES = np.array([0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)])
 _GL3_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 
+# smallest wall radius and node count of the flux-line channel operators
+RADIAL_MIN_R_MAX = 15.0
+RADIAL_MIN_POINTS = 500
+
 
 @dataclass(frozen=True)
 class Grid2D:
@@ -276,10 +280,10 @@ def _radial_from_potential(m, flux, r_max, m_points, potential, r, dr):
 
 def assemble_radial(m, flux, r_max, m_points):
     """Channel operator of the singular flux line: V = (m + flux)^2/r^2 + r^2/16."""
-    if r_max < 15.0:
-        raise ValueError(f"r_max must be >= 15, got {r_max}")
-    if m_points < 500:
-        raise ValueError(f"m_points must be >= 500, got {m_points}")
+    if r_max < RADIAL_MIN_R_MAX:
+        raise ValueError(f"r_max must be >= {RADIAL_MIN_R_MAX}, got {r_max}")
+    if m_points < RADIAL_MIN_POINTS:
+        raise ValueError(f"m_points must be >= {RADIAL_MIN_POINTS}, got {m_points}")
     dr = r_max / m_points
     r = (np.arange(m_points) + 0.5) * dr
     mu = abs(m + flux)

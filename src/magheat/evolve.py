@@ -26,6 +26,7 @@ from .field import GaugeField
 
 CG_RTOL = 1e-10
 BOUNDARY_MASS_TOL = 1e-8
+MAX_DS = 0.05               # largest self-similar step
 
 
 @dataclass
@@ -224,8 +225,8 @@ def evolve_selfsimilar(field, v0, s_final, ds):
     """
     if v0.frame != "self-similar":
         raise ValueError("initial state must be in the self-similar frame")
-    if ds <= 0.0 or ds > 0.05:
-        raise ValueError("ds must lie in (0, 0.05]")
+    if ds <= 0.0 or ds > MAX_DS:
+        raise ValueError(f"ds must lie in (0, {MAX_DS}]")
     if s_final <= v0.time:
         raise ValueError("s_final must exceed the initial time")
     grid = v0.grid

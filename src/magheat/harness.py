@@ -22,10 +22,12 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import __version__
-from .decay import ReportConfig, fit_exponential_rate, fit_polynomial_rate, theorem_report
-from .discretize import assemble_magnetic, assemble_radial, build_grid, peierls_phases
+from .decay import (INITIAL_DATA, ReportConfig, fit_exponential_rate, fit_polynomial_rate,
+                    theorem_report)
+from .discretize import (RADIAL_MIN_POINTS, RADIAL_MIN_R_MAX, assemble_magnetic,
+                         assemble_radial, build_grid, peierls_phases)
 from .errors import ConfigError, PresetError
-from .evolve import (energy_bound_check, evolve_physical, evolve_selfsimilar,
+from .evolve import (MAX_DS, energy_bound_check, evolve_physical, evolve_selfsimilar,
                      gaussian_state)
 from .exact import ab_spectrum, free_gaussian_norm, laguerre
 from .field import (GaugeField, beta_of, field_from_descriptor, flux_at,
@@ -84,14 +86,39 @@ _TOLERANCES = {
                      "floor", "limit_abs", "positive", "oracle_rel"), is_finite_real),
     "monotone_approach": lambda v: isinstance(v, bool),
 }
-_RADIAL = {"r_max": _is_positive, "m_points": _is_count}
+_RADIAL = {"r_max": lambda v: is_finite_real(v) and v >= RADIAL_MIN_R_MAX,
+           "m_points": lambda v: _is_count(v) and v >= RADIAL_MIN_POINTS}
+
+
+def _is_window(v):
+    return _list_of(is_finite_real)(v) and len(v) == 2 and v[0] < v[1]
+
+
+def _is_report_times(v):
+    """Three or more increasing s >= 0, as the limit extrapolation needs."""
+    return (_list_of(lambda x: is_finite_real(x) and x >= 0)(v) and len(v) >= 3
+            and all(a < b for a, b in zip(v, v[1:])))
+
+
 _EVOLVE = {
     "frame": lambda v: v in ("physical", "self-similar"),
     "width": _is_positive, "t_final": _is_positive, "dt": _is_positive,
-    "s_final": _is_positive, "ds": _is_positive,
+    "s_final": _is_positive, "ds": lambda v: _is_positive(v) and v <= MAX_DS,
     "oracle": lambda v: v == "free-gaussian",
-    "fit_window": lambda v: _list_of(is_finite_real)(v) and len(v) == 2 and v[0] < v[1],
+    "fit_window": _is_window,
     "energy_bound": lambda v: isinstance(v, bool),
+}
+# the two report grids are left to build_grid
+_REPORT = {
+    **dict.fromkeys(("ss_r_dom", "ss_n", "phys_r_dom", "phys_n")),
+    "s_values": _is_report_times,
+    **dict.fromkeys(("s_final", "t_final", "dt", "width"), _is_positive),
+    "ds": lambda v: _is_positive(v) and v <= MAX_DS,
+    "fit_window": _is_window, "ss_fit_window": _is_window,
+    "initial_data": _list_of(lambda v: v in INITIAL_DATA),
+    **dict.fromkeys(("gamma_tol", "lambda_tol", "c_b_tol", "energy_slack", "floor_tol"),
+                    lambda v: is_finite_real(v) and v >= 0),
+    "seed": _is_count,
 }
 
 
@@ -164,7 +191,15 @@ class ExperimentConfig:
         _check_entries("tolerances", self.tolerances, _TOLERANCES, allow_none=False)
         _check_entries("radial", self.radial, _RADIAL)
         _check_entries("evolve", self.evolve, _EVOLVE)
-        _check_entries("report", self.report, dict.fromkeys(ReportConfig.__dataclass_fields__))
+        _check_entries("report", self.report, _REPORT)
+        if self.report is not None:
+            report = ReportConfig(**self.report)
+            for r_dom, n in ((report.ss_r_dom, report.ss_n),
+                             (report.phys_r_dom, report.phys_n)):
+                try:
+                    build_grid(r_dom, n)
+                except ValueError as exc:
+                    raise ConfigError(f"invalid report grid: {exc}") from exc
         _check_entries("grid", self.grid, dict.fromkeys(("r_dom", "n")))
         if self.grid is not None:
             self.build_grid()

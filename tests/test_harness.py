@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,6 +222,27 @@ MALFORMED = {
     "hardy-degenerate-grid": {"kind": "hardy", "field": _STEP, "h": 5.0, "sweep": [4.0]},
     "hardy-negative-h": {"kind": "hardy", "field": _STEP, "h": -0.25},
     "hardy-infinite-sweep": {"kind": "hardy", "field": _STEP, "sweep": [math.inf]},
+    "radial-r_max-small": {"kind": "spectrum-numeric",
+                           "radial": {"r_max": 10.0, "m_points": 800}},
+    "radial-m_points-small": {"kind": "spectrum-numeric",
+                              "radial": {"r_max": 20.0, "m_points": 100}},
+    "report-ss_n-string": {"kind": "decay-report", "field": _STEP, "report": {"ss_n": "64"}},
+    "report-ss_n-small": {"kind": "decay-report", "field": _STEP, "report": {"ss_n": 8}},
+    "report-phys_r_dom-negative": {"kind": "decay-report", "field": _STEP,
+                                   "report": {"phys_r_dom": -24.0}},
+    "report-s_values-two": {"kind": "decay-report", "field": _STEP,
+                            "report": {"s_values": [0.0, 1.0]}},
+    "report-s_values-unsorted": {"kind": "decay-report", "field": _STEP,
+                                 "report": {"s_values": [0.0, 2.0, 1.0]}},
+    "report-ds-large": {"kind": "decay-report", "field": _STEP, "report": {"ds": 0.1}},
+    "report-fit-window-reversed": {"kind": "decay-report", "field": _STEP,
+                                   "report": {"fit_window": [12.0, 4.0]}},
+    "report-initial-data-unknown": {"kind": "decay-report", "field": _STEP,
+                                    "report": {"initial_data": ["gaussian", "square"]}},
+    "report-tolerance-string": {"kind": "decay-report", "field": _STEP,
+                                "report": {"gamma_tol": "0.05"}},
+    "evolve-ds-large": {"kind": "evolve", "field": _STEP, "grid": _GRID,
+                        "evolve": {"frame": "self-similar", "ds": 0.1}},
 }
 
 
@@ -289,6 +311,21 @@ def test_cli_entrypoint_subprocess(tmp_path):
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["pass"]
+
+
+def test_python_dash_m_entrypoint(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(mh.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "magheat", "--help"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: magheat" in proc.stdout
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"label": "bad", **MALFORMED["report-ss_n-string"]}))
+    proc = subprocess.run([sys.executable, "-m", "magheat", "decay-report",
+                           "--config", str(cfg_path), "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert "config error" in proc.stderr
 
 
 def test_env_default_out_dir(tmp_path, monkeypatch):

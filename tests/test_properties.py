@@ -72,8 +72,9 @@ overrides = {
         st.sampled_from(["frame", "dt", "s_final", "fit_window", "oracle", "bogus"]),
         st.sampled_from(["physical", "self-similar", "sideways", "free-gaussian"])
         | reals | st.lists(reals, max_size=3), max_size=3)),
-    "report": _maybe(st.dictionaries(st.sampled_from(["ss_n", "dt", "bogus"]), reals,
-                                     max_size=2)),
+    "report": _maybe(st.dictionaries(
+        st.sampled_from(["ss_n", "phys_n", "ss_r_dom", "dt", "ds", "bogus"]), reals,
+        max_size=2)),
     "tolerances": _maybe(st.dictionaries(
         st.sampled_from(["floor", "limit_abs", "monotone_approach", "bogus"]),
         reals | st.booleans(), max_size=2)),
@@ -155,3 +156,7 @@ def test_config_from_dict_typed_error_or_config(data):
         _check_field(cfg.build_field())
     if cfg.grid is not None:
         _check_grid(cfg.build_grid())
+    if cfg.report is not None:
+        report = mh.ReportConfig(**cfg.report)
+        _check_grid(mh.build_grid(report.ss_r_dom, report.ss_n))
+        _check_grid(mh.build_grid(report.phys_r_dom, report.phys_n))

@@ -52,14 +52,37 @@ def test_lambda_curve_zero_field(zero_field):
         assert smp.residual <= 1e-8
 
 
-def test_lambda_curve_floor_cache_keys_tol(zero_field):
-    floor = mh.spectral._diamagnetic_floor
-    floor.cache_clear()
-    grid = mh.build_grid(6.0, 24)
-    for tol in (1e-8, 1e-8, 1e-6):
-        mh.lambda_curve(zero_field, [0.0], grid, tol=tol)
-    info = floor.cache_info()
-    assert (info.hits, info.misses) == (1, 2)
+@pytest.mark.parametrize("r_dom, n", [(6.0, 24), (8.0, 64)])
+def test_diamagnetic_floor_matches_eigensolve(zero_field, r_dom, n):
+    # the separable floor against a 2-D eigensolve of the assembled operator
+    grid = mh.build_grid(r_dom, n)
+    phases = mh.peierls_phases(grid, mh.gauge_field(zero_field))
+    op = mh.assemble_magnetic(grid, phases, harmonic=True)
+    pairs, _, _ = mh.smallest_eigs(op, k=1)
+    assert mh.spectral._diamagnetic_floor(grid) == pytest.approx(pairs[0][0], abs=1e-10)
+
+
+def test_shift_invert_solves_factor_through_one_path(monkeypatch, step_half):
+    # every factorization goes through the module-level splu (which traced
+    # benchmark runs rebind) with the symmetric minimum-degree ordering
+    real_splu = mh.spectral.splu
+    calls = []
+
+    def recording_splu(matrix, **kwargs):
+        calls.append(kwargs)
+        return real_splu(matrix, **kwargs)
+
+    monkeypatch.setattr(mh.spectral, "splu", recording_splu)
+    expected = {"permc_spec": "MMD_AT_PLUS_A"}
+    grid = mh.build_grid(4.0, 48)   # resolution cap s_max = 0.85
+    mh.lambda_curve(step_half, [0.0], grid)
+    assert calls == [expected]
+    calls.clear()
+    mh.lambda_curve(step_half, [0.0, 0.25, 0.5], grid)
+    assert calls == [expected] * 3
+    calls.clear()
+    mh.hardy_constant(step_half, 4.25, 16)
+    assert calls == [expected]
 
 
 def test_lambda_curve_resolution_cap(step_half):
