@@ -21,6 +21,7 @@ from .field import beta_of, total_flux
 from .spectral import c_b_estimate, lambda_curve, lambda_limit_estimate
 
 INITIAL_DATA = ("gaussian", "shifted", "odd")   # names _initial_state knows
+MIN_FIT_SAMPLES = 10                             # samples a rate fit needs in its window
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,9 @@ def fit_polynomial_rate(traj, window):
     times = traj.times
     norms = traj.l2_norms
     mask = (times >= t0) & (times <= t1)
-    if int(mask.sum()) < 10:
-        raise ValueError(f"need >= 10 samples in the window, found {int(mask.sum())}")
+    if int(mask.sum()) < MIN_FIT_SAMPLES:
+        raise ValueError(f"need >= {MIN_FIT_SAMPLES} samples in the window, "
+                         f"found {int(mask.sum())}")
     if np.any(norms[mask] <= 0.0):
         raise ValueError("trajectory contains non-positive norms in the window")
     slope, residual, stderr = _fit_line(np.log1p(times[mask]), np.log(norms[mask]))
@@ -73,8 +75,9 @@ def fit_exponential_rate(traj, window):
     if np.any(np.isnan(norms)):
         norms = traj.l2_norms
     mask = (times >= s0) & (times <= s1)
-    if int(mask.sum()) < 10:
-        raise ValueError(f"need >= 10 samples in the window, found {int(mask.sum())}")
+    if int(mask.sum()) < MIN_FIT_SAMPLES:
+        raise ValueError(f"need >= {MIN_FIT_SAMPLES} samples in the window, "
+                         f"found {int(mask.sum())}")
     if np.any(norms[mask] <= 0.0):
         raise ValueError("trajectory contains non-positive norms in the window")
     slope, residual, stderr = _fit_line(times[mask], np.log(norms[mask]))

@@ -23,7 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
-from .field import GaugeField, is_finite_real
+from .errors import ResolutionCapError
+from .field import is_finite_real
 
 # 3-point Gauss-Legendre on [0, 1]
 _GL3_NODES = np.array([0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)])
@@ -60,6 +61,18 @@ class Grid2D:
         """Largest self-similar time at which a field of the given support
         still covers four cells after rescaling."""
         return 2.0 * math.log(support_radius / (4.0 * self.h))
+
+
+def check_s_cap(grid, field, s_values):
+    """Reject self-similar times whose rescaled flux tube is under-resolved."""
+    if field.is_zero:
+        return
+    cap = grid.s_max(field.support_radius)
+    bad = [s for s in s_values if s > cap + 1e-12]
+    if bad:
+        raise ResolutionCapError(
+            f"s values {bad} exceed the resolution cap s_max = {cap:.3f} "
+            f"(support {field.support_radius}, h = {grid.h:.4f})")
 
 
 def build_grid(r_dom, n):
@@ -101,13 +114,12 @@ class LinkPhases:
 
 
 def peierls_phases(grid, gauge, s=None):
-    """Edge phases for the potential A (s is None) or its rescaling A_s.
+    """Edge phases of a :class:`GaugeField` for the potential A (s is None)
+    or its rescaling A_s.
 
     Each edge integral uses 3-point Gauss quadrature of A . dl along the
     straight edge.
     """
-    if not isinstance(gauge, GaugeField):
-        gauge = GaugeField(gauge)
     n, h = grid.n, grid.h
     x = grid.axis()
     X, Y = np.meshgrid(x, x, indexing="ij")
@@ -134,8 +146,6 @@ class DiscreteOperator:
 
     grid: Grid2D
     matrix: sp.csr_matrix
-    diag: np.ndarray
-    hermitian: bool = True
 
     @property
     def dimension(self):
@@ -147,14 +157,7 @@ class DiscreteOperator:
     def shifted(self, sigma):
         """Operator plus sigma * identity (used by shift-invariance tests)."""
         mat = (self.matrix + sigma * sp.identity(self.dimension, dtype=self.matrix.dtype)).tocsr()
-        return DiscreteOperator(grid=self.grid, matrix=mat, diag=self.diag + sigma)
-
-    def dump_stencil_csv(self, path):
-        coo = self.matrix.tocoo()
-        with open(path, "w") as fh:
-            fh.write("row,col,re,im\n")
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{r},{c},{v.real:.17e},{v.imag:.17e}\n")
+        return DiscreteOperator(grid=self.grid, matrix=mat)
 
 
 def assemble_magnetic(grid, phases, harmonic):
@@ -191,7 +194,7 @@ def assemble_magnetic(grid, phases, harmonic):
     matrix = sp.csr_matrix(
         (np.concatenate(vals).astype(dtype), (np.concatenate(rows), np.concatenate(cols))),
         shape=(grid.size, grid.size))
-    return DiscreteOperator(grid=grid, matrix=matrix, diag=diag)
+    return DiscreteOperator(grid=grid, matrix=matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,8 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.linalg import cg
 from scipy.special import logsumexp
 
-from .discretize import Grid2D, assemble_magnetic, peierls_phases
-from .errors import (BoundaryContaminationError, FrameMapError,
-                     ResolutionCapError, SolverConvergenceError)
+from .discretize import Grid2D, assemble_magnetic, check_s_cap, peierls_phases
+from .errors import BoundaryContaminationError, FrameMapError, SolverConvergenceError
 from .field import GaugeField
 
 CG_RTOL = 1e-10
@@ -230,11 +229,7 @@ def evolve_selfsimilar(field, v0, s_final, ds):
     if s_final <= v0.time:
         raise ValueError("s_final must exceed the initial time")
     grid = v0.grid
-    if not field.is_zero:
-        cap = grid.s_max(field.support_radius)
-        if s_final > cap + 1e-12:
-            raise ResolutionCapError(
-                f"s_final = {s_final} exceeds the resolution cap {cap:.3f}")
+    check_s_cap(grid, field, [s_final])
     gauge = GaugeField(field)
     X, Y = grid.mesh()
     inv_weight = np.exp(-(X**2 + Y**2).ravel() / 8.0)

@@ -93,7 +93,7 @@ class AngularMode:
 
     m: int
     flux: float
-    alpha_inf: object = None       # callable theta -> alpha_inf(theta); None = constant flux
+    alpha_inf: object = None       # vectorized theta -> alpha_inf(theta); None = constant flux
 
     def _alpha_cumulative(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -102,12 +102,7 @@ class AngularMode:
         nodes, weights = np.polynomial.legendre.leggauss(48)
         flat = np.atleast_1d(theta).ravel()
         tau = 0.5 * (nodes + 1.0)[None, :] * flat[:, None]
-        try:
-            vals = np.asarray(self.alpha_inf(tau), dtype=float)
-            if vals.shape != tau.shape:
-                raise TypeError
-        except TypeError:
-            vals = np.array([[float(self.alpha_inf(t)) for t in row] for row in tau])
+        vals = np.asarray(self.alpha_inf(tau), dtype=float)
         out = 0.5 * flat * (vals @ weights)
         return out.reshape(theta.shape) if theta.shape else float(out[0])
 
@@ -171,12 +166,3 @@ def free_gaussian_norm(t, width):
     if np.any(t < 0.0):
         raise ValueError("time must be >= 0")
     return math.sqrt(math.pi) * width**2 / np.sqrt(width**2 + 2.0 * t)
-
-
-def free_gaussian_weighted_norm(width):
-    """Exact weighted norm of the same Gaussian under the weight exp(|x|^2/4)."""
-    width = float(width)
-    if not 0.0 < width < 2.0:
-        raise ValueError(f"width must lie in (0, 2), got {width}")
-    a = 1.0 / width**2 - 0.25
-    return math.sqrt(math.pi / a)

@@ -127,10 +127,6 @@ class MagneticField:
     def is_zero(self):
         return all(c.amplitude == 0.0 for c in self.components)
 
-    @property
-    def max_abs(self):
-        return sum(abs(c.amplitude) for c in self.components)
-
     def descriptor(self):
         """JSON-ready preset descriptor, the harness wire format."""
         return {"kind": self.kind, "params": dict(self.params)}

@@ -22,8 +22,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import __version__
-from .decay import (INITIAL_DATA, ReportConfig, fit_exponential_rate, fit_polynomial_rate,
-                    theorem_report)
+from .decay import (INITIAL_DATA, MIN_FIT_SAMPLES, ReportConfig, fit_exponential_rate,
+                    fit_polynomial_rate, theorem_report)
 from .discretize import (RADIAL_MIN_POINTS, RADIAL_MIN_R_MAX, assemble_magnetic,
                          assemble_radial, build_grid, peierls_phases)
 from .errors import ConfigError, PresetError
@@ -108,6 +108,9 @@ _EVOLVE = {
     "fit_window": _is_window,
     "energy_bound": lambda v: isinstance(v, bool),
 }
+# what _run_evolve assumes for the entries a config leaves out
+_EVOLVE_DEFAULTS = {"frame": "physical", "width": 1.5, "t_final": 10.0, "dt": 0.1,
+                    "s_final": 4.0, "ds": 0.05}
 # the two report grids are left to build_grid
 _REPORT = {
     **dict.fromkeys(("ss_r_dom", "ss_n", "phys_r_dom", "phys_n")),
@@ -120,6 +123,24 @@ _REPORT = {
                     lambda v: is_finite_real(v) and v >= 0),
     "seed": _is_count,
 }
+
+
+def _check_fit_window(name, window, span, step):
+    """Reject a fit window that holds fewer of the run's times k * step,
+    k = 0..round(span / step), than a rate fit needs.
+
+    The runs accumulate their times step by step, so each end of the window
+    is widened by 1e-6 of a step: a window the fit would accept is never
+    rejected here.
+    """
+    last = np.rint(span / step)
+    lo = max(0.0, np.ceil(window[0] / step - 1e-6))
+    hi = min(last, np.floor(window[1] / step + 1e-6))
+    count = max(0.0, hi - lo + 1.0)
+    if not count >= MIN_FIT_SAMPLES:
+        raise ConfigError(f"{name} {list(window)} holds {count:.0f} samples of the time "
+                          f"grid (span {span}, step {step}); the fit needs "
+                          f">= {MIN_FIT_SAMPLES}")
 
 
 def _hardy_n(r_dom, h):
@@ -191,9 +212,18 @@ class ExperimentConfig:
         _check_entries("tolerances", self.tolerances, _TOLERANCES, allow_none=False)
         _check_entries("radial", self.radial, _RADIAL)
         _check_entries("evolve", self.evolve, _EVOLVE)
+        if self.evolve is not None and "fit_window" in self.evolve:
+            ev = {**_EVOLVE_DEFAULTS, **self.evolve}
+            span, step = ((ev["t_final"], ev["dt"]) if ev["frame"] == "physical"
+                          else (ev["s_final"], ev["ds"]))
+            _check_fit_window("evolve.fit_window", ev["fit_window"], span, step)
         _check_entries("report", self.report, _REPORT)
         if self.report is not None:
             report = ReportConfig(**self.report)
+            _check_fit_window("report.fit_window", report.fit_window,
+                              report.t_final, report.dt)
+            _check_fit_window("report.ss_fit_window", report.ss_fit_window,
+                              report.s_final, report.ds)
             for r_dom, n in ((report.ss_r_dom, report.ss_n),
                              (report.phys_r_dom, report.phys_n)):
                 try:
@@ -495,14 +525,14 @@ def _run_hardy(cfg, out):
 def _run_evolve(cfg, out):
     fld = cfg.build_field()
     grid = cfg.build_grid()
-    ev = cfg.evolve or {}
-    frame = ev.get("frame", "physical")
-    width = ev.get("width", 1.5)
+    ev = {**_EVOLVE_DEFAULTS, **(cfg.evolve or {})}
+    frame = ev["frame"]
+    width = ev["width"]
     flags = {}
     outputs = []
     if frame == "physical":
         u0 = gaussian_state(grid, width)
-        traj = evolve_physical(fld, u0, ev.get("t_final", 10.0), ev.get("dt", 0.1))
+        traj = evolve_physical(fld, u0, ev["t_final"], ev["dt"])
         summary = {"frame": frame, "k_norm_initial": traj.points[0].k_norm}
         if ev.get("oracle") == "free-gaussian":
             expected = free_gaussian_norm(traj.times, width) / free_gaussian_norm(0.0, width)
@@ -515,7 +545,7 @@ def _run_evolve(cfg, out):
             summary["gamma_stderr"] = fit.exponent_stderr
     else:
         v0 = gaussian_state(grid, width, frame="self-similar")
-        traj = evolve_selfsimilar(fld, v0, ev.get("s_final", 4.0), ev.get("ds", 0.05))
+        traj = evolve_selfsimilar(fld, v0, ev["s_final"], ev["ds"])
         summary = {"frame": frame}
         if "fit_window" in ev:
             fit = fit_exponential_rate(traj, ev["fit_window"])
@@ -580,9 +610,16 @@ def run(config, out_dir=None):
     config.validate()
     base = Path(out_dir) if out_dir is not None else default_out_dir()
     out = base / config.label
+    created = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    summary, outputs = _RUNNERS[config.kind](config, out)
+    try:
+        summary, outputs = _RUNNERS[config.kind](config, out)
+    except BaseException:
+        # a failed run leaves no empty directory of its own behind
+        if created and not any(out.iterdir()):
+            out.rmdir()
+        raise
     summary = {"kind": config.kind, "label": config.label, "seed": config.seed,
                **summary}
     summary.setdefault("flags", {})

@@ -8,12 +8,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .discretize import assemble_magnetic, build_grid, peierls_phases
-from .errors import ResolutionCapError, SolverConvergenceError
+from .discretize import (DiscreteOperator, assemble_magnetic, build_grid, check_s_cap,
+                         peierls_phases)
+from .errors import SolverConvergenceError
 from .field import GaugeField, alpha_batch, alpha_infinity, beta_of
 
 DIAMAGNETIC_SLACK = 1e-9    # floor tolerance of the discrete diamagnetic bound
@@ -110,18 +112,6 @@ def smallest_eigs(op, k, tol=1e-8, seed=0):
         phase = v[pivot] / abs(v[pivot])
         pairs.append((float(vals[j]), v / phase))
     return pairs, worst, counting.count
-
-
-def check_s_cap(grid, field, s_values):
-    """Reject self-similar times whose rescaled flux tube is under-resolved."""
-    if field.is_zero:
-        return
-    cap = grid.s_max(field.support_radius)
-    bad = [s for s in s_values if s > cap + 1e-12]
-    if bad:
-        raise ResolutionCapError(
-            f"s values {bad} exceed the resolution cap s_max = {cap:.3f} "
-            f"(support {field.support_radius}, h = {grid.h:.4f})")
 
 
 def _diamagnetic_floor(grid):
@@ -254,39 +244,24 @@ def variational_upper_bound(field, s, n, r_infinity=30.0, theta_points=64):
     return numerator / (2.0 * math.pi * den)
 
 
-def hardy_constant(field, r_dom, n, seed=0, max_iter=400, rtol=1e-10):
+def hardy_constant(field, r_dom, n, seed=0):
     """Variational constant of the weighted bound H_B >= c / (1 + |x|^2).
 
-    Smallest generalized eigenvalue of the pair (magnetic Laplacian without
-    the confining term, multiplication by w = 1 / (1 + |x|^2)) on the
-    truncated Dirichlet grid of half-width ``r_dom`` with ``n`` points per
-    axis.  Inverse-power iteration v <- L^{-1} (w v) on the sparse LU of L
-    (see ``_factor``), from a seeded random vector; it stops once the
-    weighted Rayleigh quotient changes by at most ``rtol`` relative.
+    Smallest generalized eigenvalue of L v = c W v, with L the magnetic
+    Laplacian without the confining term and W multiplication by
+    w = 1 / (1 + |x|^2), on the truncated Dirichlet grid of half-width
+    ``r_dom`` with ``n`` points per axis.  With D = diag(sqrt(1 + |x|^2)) =
+    W^{-1/2}, D L D is Hermitian with the same five-point pattern and the
+    same eigenvalues, so its lowest eigenvalue comes from ``smallest_eigs``.
     """
     grid = build_grid(r_dom, n)
     phases = peierls_phases(grid, GaugeField(field), s=None)
     op = assemble_magnetic(grid, phases, harmonic=False)
     X, Y = grid.mesh()
-    w = 1.0 / (1.0 + (X**2 + Y**2).ravel())
-    lu = _factor(op.matrix)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(grid.size).astype(op.matrix.dtype)
-    if np.issubdtype(op.matrix.dtype, np.complexfloating):
-        v = v + 1j * rng.standard_normal(grid.size)
-    v /= np.linalg.norm(v)
-    c_prev = math.inf
-    for _ in range(max_iter):
-        v = lu.solve(w * v)
-        v /= np.linalg.norm(v)
-        num = float(np.vdot(v, op.apply(v)).real)
-        den = float(np.vdot(v, w * v).real)
-        c_est = num / den
-        if abs(c_est - c_prev) <= rtol * max(abs(c_est), 1e-30):
-            return HardyEstimate(c_est=c_est, r_dom=grid.r_dom, n=grid.n)
-        c_prev = c_est
-    raise SolverConvergenceError(
-        f"inverse-power iteration did not converge in {max_iter} iterations")
+    d = sp.diags(np.sqrt(1.0 + (X**2 + Y**2).ravel()))
+    scaled = DiscreteOperator(grid=grid, matrix=(d @ op.matrix @ d).tocsr())
+    pairs, _, _ = smallest_eigs(scaled, k=1, seed=seed)
+    return HardyEstimate(c_est=pairs[0][0], r_dom=grid.r_dom, n=grid.n)
 
 
 def c_b_estimate(field, s_grid, grid, tol=1e-8, seed=0):

@@ -227,13 +227,3 @@ def test_radial_two_dim_consistency(step_half):
                   for m in (-1, 0, 1))
     assert abs(sample.lam - lam_rad) < 5e-3
 
-
-def test_stencil_dump(tmp_path, zero_field):
-    grid = mh.build_grid(4.0, 16)
-    phases = mh.peierls_phases(grid, mh.gauge_field(zero_field))
-    op = mh.assemble_magnetic(grid, phases, harmonic=False)
-    path = tmp_path / "stencil.csv"
-    op.dump_stencil_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "row,col,re,im"
-    assert len(lines) == 1 + op.matrix.nnz

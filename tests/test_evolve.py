@@ -12,7 +12,7 @@ from magheat.evolve import energy_bound_check
 
 def _scalar_operator(grid, sigma):
     mat = (sigma * sp.identity(grid.size, dtype=complex)).tocsr()
-    return DiscreteOperator(grid=grid, matrix=mat, diag=np.full(grid.size, sigma))
+    return DiscreteOperator(grid=grid, matrix=mat)
 
 
 def test_cn_step_identity_free():
@@ -38,8 +38,7 @@ def test_cn_contraction_random_psd(seed):
     rng = np.random.default_rng(seed)
     grid = mh.build_grid(4.0, 16)
     diag = rng.uniform(0.0, 50.0, grid.size)
-    op = DiscreteOperator(grid=grid,
-                          matrix=sp.diags(diag).astype(complex).tocsr(), diag=diag)
+    op = DiscreteOperator(grid=grid, matrix=sp.diags(diag).astype(complex).tocsr())
     state = mh.StateVector(
         grid=grid,
         values=rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size),

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +244,19 @@ MALFORMED = {
                                 "report": {"gamma_tol": "0.05"}},
     "evolve-ds-large": {"kind": "evolve", "field": _STEP, "grid": _GRID,
                         "evolve": {"frame": "self-similar", "ds": 0.1}},
+    # fit windows holding fewer than the 10 samples a rate fit needs
+    "evolve-fit-window-narrow": {"kind": "evolve", "field": _STEP,
+                                 "grid": {"r_dom": 16.0, "n": 63},
+                                 "evolve": {"frame": "physical", "t_final": 1.0, "dt": 0.1,
+                                            "fit_window": [0.2, 0.6]}},
+    "evolve-ss-fit-window-narrow": {"kind": "evolve", "field": mh.harness.ZERO_FIELD,
+                                    "grid": _GRID,
+                                    "evolve": {"frame": "self-similar", "s_final": 1.0,
+                                               "ds": 0.05, "fit_window": [0.5, 0.7]}},
+    "report-fit-window-narrow": {"kind": "decay-report", "field": _STEP,
+                                 "report": {"fit_window": [4.0, 4.5]}},
+    "report-ss-fit-window-narrow": {"kind": "decay-report", "field": _STEP,
+                                    "report": {"ss_fit_window": [2.0, 2.3]}},
 }
 
 
@@ -258,6 +272,33 @@ def test_cli_malformed_config_exit_code(tmp_path, name):
     assert not (tmp_path / "bad").exists()
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(config)
+
+
+def test_fit_window_sample_count_matches_the_fit(tmp_path):
+    # t = 0.1 .. 1.0 holds exactly the 10 samples the fit needs, on times
+    # accumulated step by step; t = 0.2 .. 1.0 holds 9
+    evolve = {"frame": "physical", "t_final": 1.0, "dt": 0.1, "fit_window": [0.1, 1.0]}
+    cfg = ExperimentConfig.from_dict({"kind": "evolve", "label": "ten",
+                                      "field": mh.harness.ZERO_FIELD,
+                                      "grid": {"r_dom": 16.0, "n": 63}, "evolve": evolve})
+    summary = load_summary(run(cfg, out_dir=tmp_path).outputs[0])
+    assert math.isfinite(summary["gamma"])
+    with pytest.raises(ConfigError, match="holds 9 samples"):
+        ExperimentConfig.from_dict({**asdict(cfg), "evolve": {**evolve,
+                                                              "fit_window": [0.2, 1.0]}})
+
+
+def test_failed_run_leaves_no_empty_directory(tmp_path):
+    # the domain is too small for t_final: boundary contamination, exit 1
+    config = {"kind": "evolve", "label": "fw", "field": _STEP,
+              "grid": {"r_dom": 8.0, "n": 31},
+              "evolve": {"frame": "physical", "t_final": 1.0, "dt": 0.1}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    from magheat.cli import main
+
+    assert main(["evolve", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "fw").exists()
 
 
 def test_config_validates_field_descriptor():
@@ -304,10 +345,11 @@ def test_cli_entrypoint_subprocess(tmp_path):
     cfg = ExperimentConfig(kind="spectrum-exact", label="sp", fluxes=[0.0], count=3)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(cfg.to_json())
+    env = {**os.environ, "PYTHONPATH": str(Path(mh.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "magheat.cli", "spectrum-exact",
          "--config", str(cfg_path), "--out", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["pass"]

@@ -172,6 +172,23 @@ def test_hardy_half_flux_uniformly_positive(step_half):
     assert min(e.c_est for e in ests) > 0.05
 
 
+@pytest.mark.parametrize("field_name", ["step_half", "zero_field", "offset_bump"])
+@pytest.mark.parametrize("r_dom, n", [(4.25, 16), (6.0, 24)])
+def test_hardy_constant_matches_dense_generalized_eigh(request, field_name, r_dom, n):
+    # oracle: LAPACK's dense generalized eigensolver on the pair (L, diag(w))
+    from scipy.linalg import eigh
+
+    field = request.getfixturevalue(field_name)
+    grid = mh.build_grid(r_dom, n)
+    phases = mh.peierls_phases(grid, mh.gauge_field(field))
+    op = mh.assemble_magnetic(grid, phases, harmonic=False)
+    X, Y = grid.mesh()
+    w = 1.0 / (1.0 + (X**2 + Y**2).ravel())
+    expected = eigh(op.matrix.toarray(), np.diag(w), eigvals_only=True,
+                    subset_by_index=(0, 0))[0]
+    assert mh.hardy_constant(field, r_dom, n).c_est == pytest.approx(expected, abs=1e-10)
+
+
 def test_hardy_constant_rejects_degenerate_grid(step_half):
     # the grid goes through build_grid, so n = 1 no longer yields an estimate
     with pytest.raises(ValueError, match="n must be"):
