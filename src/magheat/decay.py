@@ -18,7 +18,7 @@ from .discretize import build_grid
 from .evolve import (energy_bound_check, evolve_physical, evolve_selfsimilar,
                      gaussian_state)
 from .field import beta_of, total_flux
-from .spectral import c_b_estimate, lambda_curve, lambda_limit_estimate
+from .spectral import dense_s_grid, lambda_curve, lambda_limit_estimate
 
 INITIAL_DATA = ("gaussian", "shifted", "odd")   # names _initial_state knows
 MIN_FIT_SAMPLES = 10                             # samples a rate fit needs in its window
@@ -137,10 +137,13 @@ def theorem_report(field, config=None):
     target = (1.0 + beta) / 2.0
 
     grid_ss = build_grid(cfg.ss_r_dom, cfg.ss_n)
-    samples = lambda_curve(field, list(cfg.s_values), grid_ss, seed=cfg.seed)
+    dense = dense_s_grid(cfg.s_values)
+    curve = {smp.s: smp for smp in lambda_curve(
+        field, sorted({*map(float, cfg.s_values), *dense}), grid_ss, seed=cfg.seed)}
+    samples = [curve[float(s)] for s in cfg.s_values]
     lam_extrap = lambda_limit_estimate(samples)
     lam_raw = samples[-1].lam
-    c_b = c_b_estimate(field, _dense_grid(cfg.s_values), grid_ss, seed=cfg.seed)
+    c_b = max(0.0, min(curve[s].lam for s in dense) - 0.5)   # c_b_estimate on one curve
 
     grid_ph = build_grid(cfg.phys_r_dom, cfg.phys_n)
     gamma_fits = {}
@@ -199,9 +202,3 @@ def theorem_report(field, config=None):
         "tolerances": {"gamma": cfg.gamma_tol, "lambda": cfg.lambda_tol,
                        "c_b": cfg.c_b_tol, "energy_slack": cfg.energy_slack},
     }
-
-
-def _dense_grid(s_values, spacing=0.5):
-    lo, hi = min(s_values), max(s_values)
-    count = max(2, int(math.ceil((hi - lo) / spacing)) + 1)
-    return list(np.linspace(lo, hi, count))

@@ -2,16 +2,16 @@
 
 The physical frame evolves the autonomous magnetic heat equation; the
 self-similar frame evolves the non-autonomous confined equation whose
-generator is refreshed at the midpoint of every step.  Both use the
-unconditionally stable Crank-Nicolson scheme with conjugate-gradient solves,
-which is norm non-increasing for positive semidefinite generators.
+generator is refreshed at the midpoint of every step.  Both step through one
+unconditionally stable Crank-Nicolson driver with conjugate-gradient solves,
+norm non-increasing for positive semidefinite generators.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,11 +20,13 @@ from scipy.sparse.linalg import cg
 from scipy.special import logsumexp
 
 from .discretize import Grid2D, assemble_magnetic, check_s_cap, peierls_phases
-from .errors import BoundaryContaminationError, FrameMapError, SolverConvergenceError
+from .errors import (BoundaryContaminationError, ConfigError, FrameMapError,
+                     SolverConvergenceError)
 from .field import GaugeField
 
 CG_RTOL = 1e-10
 BOUNDARY_MASS_TOL = 1e-8
+BOUNDARY_RINGS = 2          # cells next to the wall that boundary_mass counts
 MAX_DS = 0.05               # largest self-similar step
 
 
@@ -40,14 +42,14 @@ class StateVector:
     def norm(self):
         return float(np.linalg.norm(self.values)) * self.grid.h
 
-    def boundary_mass(self, rings=2):
-        """Fraction of the squared norm within ``rings`` cells of the wall."""
-        n = self.grid.n
+    def boundary_mass(self):
+        """Fraction of the squared norm within ``BOUNDARY_RINGS`` cells of the wall."""
+        n, k = self.grid.n, BOUNDARY_RINGS
         v2 = np.abs(self.values.reshape(n, n)) ** 2
         total = float(v2.sum())
         if total == 0.0:
             return 0.0
-        inner = float(v2[rings:n - rings, rings:n - rings].sum())
+        inner = float(v2[k:n - k, k:n - k].sum())
         return (total - inner) / total
 
 
@@ -79,8 +81,7 @@ class NormTrajectory:
         return np.array([math.nan if p.k_norm is None else p.k_norm for p in self.points])
 
 
-def physical_domain_radius(t_final, width, support_radius=0.0,
-                           boundary_tol=BOUNDARY_MASS_TOL):
+def physical_domain_radius(t_final, width, support_radius=0.0):
     """Domain half-width keeping Gaussian-data boundary mass below tolerance.
 
     The evolved Gaussian has variance width^2 + 2t, so the mass beyond radius
@@ -88,7 +89,7 @@ def physical_domain_radius(t_final, width, support_radius=0.0,
     top.  (A bare multiple of sqrt(t) under-sizes the domain for tight
     boundary tolerances.)
     """
-    spread = math.sqrt((width**2 + 2.0 * t_final) * math.log(1.0 / boundary_tol))
+    spread = math.sqrt((width**2 + 2.0 * t_final) * math.log(1.0 / BOUNDARY_MASS_TOL))
     return spread + support_radius
 
 
@@ -128,40 +129,47 @@ def weighted_norm(state):
     return float(math.exp(0.5 * logsumexp(logs)))
 
 
-class _CrankNicolson:
-    """Cached (I + dt/2 L) / (I - dt/2 L) pair with warm-started CG solves.
+def step_count(span, step):
+    """round(span / step), the number of steps; a ConfigError when not finite."""
+    ratio = span / step
+    if not math.isfinite(ratio):
+        raise ConfigError(f"step count round({span} / {step}) is not finite")
+    return round(ratio)
 
-    A real generator acting on complex data is solved per real component,
-    which keeps the cheap real path of the zero-field baselines."""
 
-    def __init__(self, op, dt):
-        n = op.dimension
-        self.real_matrix = not np.issubdtype(op.matrix.dtype, np.complexfloating)
-        eye = sp.identity(n, dtype=op.matrix.dtype, format="csr")
-        self.plus = (eye + (dt / 2.0) * op.matrix).tocsr()
-        self.minus = (eye - (dt / 2.0) * op.matrix).tocsr()
-        self.guess = None
+def _cn_solver(matrix, dt):
+    """CG solve of (I + dt/2 L) out = (I - dt/2 L) values, warm-started at values."""
+    eye = sp.identity(matrix.shape[0], dtype=matrix.dtype, format="csr")
+    plus = (eye + (dt / 2.0) * matrix).tocsr()
+    minus = (eye - (dt / 2.0) * matrix).tocsr()
 
-    def _solve(self, rhs, x0):
-        out, info = cg(self.plus, rhs, x0=x0, rtol=CG_RTOL, atol=0.0)
+    def solve(values):
+        out, info = cg(plus, minus @ values, x0=values, rtol=CG_RTOL, atol=0.0)
         if info != 0:
             raise SolverConvergenceError(f"Crank-Nicolson CG failed (info={info})")
         return out
 
-    def step(self, values):
-        if self.guess is None:
-            self.guess = values
-        if self.real_matrix and np.iscomplexobj(values):
-            rhs = self.minus @ values
-            out = self._solve(rhs.real, self.guess.real).astype(complex)
-            if np.any(values.imag):
-                out += 1j * self._solve(rhs.imag, np.ascontiguousarray(self.guess.imag))
-            self.guess = out
-            return out
-        rhs = self.minus @ values
-        out = self._solve(rhs, self.guess)
-        self.guess = out
-        return out
+    return solve
+
+
+def _crank_nicolson(values, t, span, dt, matrix_at, record):
+    """Crank-Nicolson steps of u' = -L(t) u over ``span`` from ``t``; returns
+    ``record(values, t)`` at the start and after each step.  The solver is
+    rebuilt when ``matrix_at(t_mid)`` returns a new matrix."""
+    n_steps = step_count(span, dt)
+    points = [record(values, t)]
+    matrix = None
+    for _ in range(n_steps):
+        current = matrix_at(t + dt / 2.0)
+        if current is not matrix:
+            matrix, solve = current, _cn_solver(current, dt)
+            # real data under a real generator stay real
+            if not np.iscomplexobj(matrix) and not np.any(np.imag(values)):
+                values = np.ascontiguousarray(values.real)
+        values = solve(values)
+        t += dt
+        points.append(record(values, t))
+    return points
 
 
 def cn_step(op, state, dt):
@@ -169,12 +177,12 @@ def cn_step(op, state, dt):
     non-increasing for Hermitian positive semidefinite L."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    stepper = _CrankNicolson(op, dt)
-    return StateVector(grid=state.grid, values=stepper.step(state.values),
-                       time=state.time + dt, frame=state.frame)
+    values = _crank_nicolson(state.values, state.time, dt, dt, lambda _: op.matrix,
+                             lambda v, _: v)[-1]
+    return replace(state, values=values, time=state.time + dt)
 
 
-def evolve_physical(field, u0, t_final, dt, boundary_tol=BOUNDARY_MASS_TOL):
+def evolve_physical(field, u0, t_final, dt):
     """Evolve the magnetic heat equation in physical variables.
 
     Records the plain norm at every step and the weighted norm of the initial
@@ -186,29 +194,20 @@ def evolve_physical(field, u0, t_final, dt, boundary_tol=BOUNDARY_MASS_TOL):
         raise ValueError("t_final and dt must be positive")
     grid = u0.grid
     phases = peierls_phases(grid, GaugeField(field), s=None)
-    op = assemble_magnetic(grid, phases, harmonic=False)
-    stepper = _CrankNicolson(op, dt)
+    matrix = assemble_magnetic(grid, phases, harmonic=False).matrix
 
-    bm = u0.boundary_mass()
-    if bm > boundary_tol:
-        raise BoundaryContaminationError(
-            f"initial boundary mass {bm:.2e} exceeds {boundary_tol:.0e}")
-    points = [TrajectoryPoint(time=u0.time, l2_norm=u0.norm(),
-                              k_norm=weighted_norm(u0), boundary_mass=bm)]
-    values = u0.values.copy()
-    t = u0.time
-    n_steps = int(round((t_final - u0.time) / dt))
-    for _ in range(n_steps):
-        values = stepper.step(values)
-        t += dt
+    def record(values, t):
         state = StateVector(grid=grid, values=values, time=t, frame="physical")
         bm = state.boundary_mass()
-        if bm > boundary_tol:
+        if bm > BOUNDARY_MASS_TOL:
             raise BoundaryContaminationError(
-                f"boundary mass {bm:.2e} exceeded {boundary_tol:.0e} at t = {t:.3f}; "
+                f"boundary mass {bm:.2e} exceeded {BOUNDARY_MASS_TOL:.0e} at t = {t:.3f}; "
                 "enlarge the domain")
-        points.append(TrajectoryPoint(time=t, l2_norm=state.norm(), k_norm=None,
-                                      boundary_mass=bm))
+        return TrajectoryPoint(time=t, l2_norm=state.norm(), k_norm=None, boundary_mass=bm)
+
+    points = _crank_nicolson(u0.values, u0.time, t_final - u0.time, dt, lambda _: matrix,
+                             record)
+    points[0] = replace(points[0], k_norm=weighted_norm(u0))
     return NormTrajectory(frame="physical", points=points)
 
 
@@ -233,27 +232,21 @@ def evolve_selfsimilar(field, v0, s_final, ds):
     gauge = GaugeField(field)
     X, Y = grid.mesh()
     inv_weight = np.exp(-(X**2 + Y**2).ravel() / 8.0)
+    built = None
 
-    def record(state):
-        k_norm = state.norm()
-        plain = float(np.linalg.norm(state.values * inv_weight)) * grid.h
-        return TrajectoryPoint(time=state.time, l2_norm=plain, k_norm=k_norm,
+    def matrix_at(s):
+        nonlocal built
+        if built is None or not field.is_zero:
+            built = assemble_magnetic(grid, peierls_phases(grid, gauge, s=s), harmonic=True)
+        return built.matrix
+
+    def record(values, s):
+        state = StateVector(grid=grid, values=values, time=s, frame="self-similar")
+        plain = float(np.linalg.norm(values * inv_weight)) * grid.h
+        return TrajectoryPoint(time=s, l2_norm=plain, k_norm=state.norm(),
                                boundary_mass=state.boundary_mass())
 
-    points = [record(v0)]
-    values = v0.values.copy()
-    s = v0.time
-    n_steps = int(round((s_final - v0.time) / ds))
-    stepper = None
-    for _ in range(n_steps):
-        if stepper is None or not field.is_zero:
-            phases = peierls_phases(grid, gauge, s=s + ds / 2.0)
-            op = assemble_magnetic(grid, phases, harmonic=True)
-            stepper = _CrankNicolson(op, ds)
-        values = stepper.step(values)
-        s += ds
-        points.append(record(StateVector(grid=grid, values=values, time=s,
-                                          frame="self-similar")))
+    points = _crank_nicolson(v0.values, v0.time, s_final - v0.time, ds, matrix_at, record)
     return NormTrajectory(frame="self-similar", points=points)
 
 

@@ -28,12 +28,12 @@ from .discretize import (RADIAL_MIN_POINTS, RADIAL_MIN_R_MAX, assemble_magnetic,
                          assemble_radial, build_grid, peierls_phases)
 from .errors import ConfigError, PresetError
 from .evolve import (MAX_DS, energy_bound_check, evolve_physical, evolve_selfsimilar,
-                     gaussian_state)
+                     gaussian_state, step_count)
 from .exact import ab_spectrum, free_gaussian_norm, laguerre
 from .field import (GaugeField, beta_of, field_from_descriptor, flux_at,
                     is_finite_real, total_flux)
-from .spectral import (hardy_constant, lambda_curve, lambda_limit_estimate,
-                       smallest_eigs)
+from .spectral import (dense_s_grid, hardy_constant, lambda_curve,
+                       lambda_limit_estimate, smallest_eigs)
 
 EXPERIMENT_KINDS = ("flux", "gauge-check", "spectrum-exact", "spectrum-numeric",
                     "lambda-curve", "hardy", "evolve", "decay-report")
@@ -127,13 +127,13 @@ _REPORT = {
 
 def _check_fit_window(name, window, span, step):
     """Reject a fit window that holds fewer of the run's times k * step,
-    k = 0..round(span / step), than a rate fit needs.
+    k = 0..step_count(span, step), than a rate fit needs.
 
     The runs accumulate their times step by step, so each end of the window
     is widened by 1e-6 of a step: a window the fit would accept is never
     rejected here.
     """
-    last = np.rint(span / step)
+    last = step_count(span, step)
     lo = max(0.0, np.ceil(window[0] / step - 1e-6))
     hi = min(last, np.floor(window[1] / step + 1e-6))
     count = max(0.0, hi - lo + 1.0)
@@ -212,11 +212,13 @@ class ExperimentConfig:
         _check_entries("tolerances", self.tolerances, _TOLERANCES, allow_none=False)
         _check_entries("radial", self.radial, _RADIAL)
         _check_entries("evolve", self.evolve, _EVOLVE)
-        if self.evolve is not None and "fit_window" in self.evolve:
+        if self.evolve is not None:
             ev = {**_EVOLVE_DEFAULTS, **self.evolve}
             span, step = ((ev["t_final"], ev["dt"]) if ev["frame"] == "physical"
                           else (ev["s_final"], ev["ds"]))
-            _check_fit_window("evolve.fit_window", ev["fit_window"], span, step)
+            step_count(span, step)      # a ConfigError when not finite
+            if "fit_window" in ev:
+                _check_fit_window("evolve.fit_window", ev["fit_window"], span, step)
         _check_entries("report", self.report, _REPORT)
         if self.report is not None:
             report = ReportConfig(**self.report)
@@ -552,8 +554,7 @@ def _run_evolve(cfg, out):
             summary["slope"] = fit.exponent
             summary["slope_stderr"] = fit.exponent_stderr
         if ev.get("energy_bound"):
-            s_hi = traj.times[-1]
-            s_grid = list(np.linspace(0.0, s_hi, max(2, int(math.ceil(s_hi / 0.5)) + 1)))
+            s_grid = dense_s_grid([0.0, traj.times[-1]])
             lam_samples = lambda_curve(fld, s_grid, grid, seed=cfg.seed)
             margin, ok = energy_bound_check(traj, lam_samples)
             summary["energy_bound_margin"] = margin

@@ -20,6 +20,7 @@ from .field import GaugeField, alpha_batch, alpha_infinity, beta_of
 
 DIAMAGNETIC_SLACK = 1e-9    # floor tolerance of the discrete diamagnetic bound
 DEGENERACY_FLUX_TOL = 1e-6  # half-integer detection for block solves
+C_B_SPACING = 0.5           # widest s step the infimum gap samples
 
 
 @dataclass(frozen=True)
@@ -264,13 +265,20 @@ def hardy_constant(field, r_dom, n, seed=0):
     return HardyEstimate(c_est=pairs[0][0], r_dom=grid.r_dom, n=grid.n)
 
 
-def c_b_estimate(field, s_grid, grid, tol=1e-8, seed=0):
+def dense_s_grid(s_values):
+    """Evenly spaced s over the range of ``s_values``, ``C_B_SPACING`` apart at most."""
+    lo, hi = min(s_values), max(s_values)
+    count = max(2, int(math.ceil((hi - lo) / C_B_SPACING)) + 1)
+    return list(np.linspace(lo, hi, count))
+
+
+def c_b_estimate(field, s_grid, grid, seed=0):
     """Infimum gap inf_s lambda(s) - 1/2 over the sampled grid, floored at 0."""
     s_grid = sorted(float(s) for s in s_grid)
     if len(s_grid) < 2:
         raise ValueError("s_grid needs at least two points")
     spacing = max(b - a for a, b in zip(s_grid, s_grid[1:]))
-    if spacing > 0.5 + 1e-12:
-        raise ValueError(f"s_grid spacing {spacing} exceeds 0.5")
-    samples = lambda_curve(field, s_grid, grid, tol=tol, seed=seed)
+    if spacing > C_B_SPACING + 1e-12:
+        raise ValueError(f"s_grid spacing {spacing} exceeds {C_B_SPACING}")
+    samples = lambda_curve(field, s_grid, grid, seed=seed)
     return max(0.0, min(smp.lam for smp in samples) - 0.5)

@@ -134,3 +134,24 @@ def test_theorem_report_integer_flux_wide_bump():
     assert report["c_b"] == pytest.approx(0.0, abs=2e-3)
     assert report["lambda_limit"]["raw_last"] == pytest.approx(0.5, abs=5e-3)
     assert report["pass"]
+
+
+def test_theorem_report_solves_each_s_once(monkeypatch, zero_field):
+    # s_values (0, 1, 2) and the c_b grid (0, 0.5, ..., 2) share one curve
+    import magheat.spectral as spectral
+
+    seen = []
+    inner = spectral.smallest_eigs
+
+    def counted(*args, **kwargs):
+        seen.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "smallest_eigs", counted)
+    cfg = mh.ReportConfig(
+        ss_r_dom=6.0, ss_n=32, s_values=(0.0, 1.0, 2.0), s_final=1.0, ds=0.05,
+        phys_r_dom=12.0, phys_n=48, t_final=1.0, dt=0.1, width=1.0,
+        fit_window=(0.1, 1.0), ss_fit_window=(0.4, 1.0), initial_data=("gaussian",))
+    report = mh.theorem_report(zero_field, cfg)
+    assert len(seen) == 5
+    assert [smp["s"] for smp in report["lambda_curve"]] == [0.0, 1.0, 2.0]

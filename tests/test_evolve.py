@@ -48,6 +48,75 @@ def test_cn_contraction_random_psd(seed):
         assert out.norm() <= state.norm() * (1 + 1e-12)
 
 
+def test_cn_real_generator_on_complex_data(zero_field, rng):
+    # a real generator on complex data steps both parts at once, as if each
+    # part were stepped on its own
+    grid = mh.build_grid(6.0, 32)
+    op = mh.assemble_magnetic(grid, mh.peierls_phases(grid, mh.gauge_field(zero_field)),
+                              harmonic=True)
+    assert not np.iscomplexobj(op.matrix)
+    re, im = rng.standard_normal((2, grid.size))
+
+    def step(values):
+        state = mh.StateVector(grid=grid, values=values, time=0.0, frame="physical")
+        return mh.cn_step(op, state, 0.1).values
+
+    both = step(re + 1j * im)
+    apart = step(re) + 1j * step(im)
+    assert np.iscomplexobj(both)
+    assert np.linalg.norm(both - apart) <= 1e-9 * np.linalg.norm(apart)
+
+
+def _spy(monkeypatch, name, seen, record):
+    import magheat.evolve as ev
+
+    inner = getattr(ev, name)
+
+    def spy(*args, **kwargs):
+        seen.append(record(*args))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(ev, name, spy)
+
+
+def _run(frame, field, steps):
+    grid = mh.build_grid(6.0, 64)
+    if frame == "physical":
+        return mh.evolve_physical(field, mh.gaussian_state(grid, 1.0), 0.1 * steps, 0.1)
+    v0 = mh.gaussian_state(grid, 1.0, frame="self-similar")
+    return mh.evolve_selfsimilar(field, v0, 0.05 * steps, 0.05)
+
+
+@pytest.mark.parametrize("frame", ["physical", "self-similar"])
+def test_cg_dtype_follows_the_generator(monkeypatch, zero_field, step_half, frame):
+    # zero-field runs solve in real arithmetic, fielded runs in complex
+    seen = []
+    _spy(monkeypatch, "cg", seen, lambda matrix, rhs: rhs.dtype)
+    for field, dtype in ((zero_field, np.float64), (step_half, np.complex128)):
+        seen.clear()
+        _run(frame, field, 3)
+        assert seen == [np.dtype(dtype)] * 3
+
+
+def test_generator_rebuilt_only_when_it_changes(monkeypatch, zero_field, step_half):
+    seen = []
+    _spy(monkeypatch, "assemble_magnetic", seen, lambda *args: None)
+    for frame, field, builds in (("physical", step_half, 1), ("self-similar", zero_field, 1),
+                                 ("self-similar", step_half, 3)):
+        seen.clear()
+        _run(frame, field, 3)
+        assert len(seen) == builds, (frame, field.is_zero)
+
+
+def test_infinite_step_count_rejected(zero_field):
+    grid = mh.build_grid(6.0, 32)
+    with pytest.raises(ValueError, match="not finite"):
+        mh.evolve_physical(zero_field, mh.gaussian_state(grid, 0.5), 1e308, 1e-300)
+    with pytest.raises(ValueError, match="not finite"):
+        mh.evolve_selfsimilar(zero_field, mh.gaussian_state(grid, 0.5, frame="self-similar"),
+                              1e308, 0.05)
+
+
 def test_frame_map_explicit_target_grid():
     src = mh.build_grid(12.0, 160)
     dst = mh.build_grid(6.0, 96)

@@ -257,6 +257,17 @@ MALFORMED = {
                                  "report": {"fit_window": [4.0, 4.5]}},
     "report-ss-fit-window-narrow": {"kind": "decay-report", "field": _STEP,
                                     "report": {"ss_fit_window": [2.0, 2.3]}},
+    # step counts round(span / step) that overflow to infinity
+    "evolve-step-count-infinite": {"kind": "evolve", "field": _STEP, "grid": _GRID,
+                                   "evolve": {"frame": "physical", "t_final": 1e308,
+                                              "dt": 1e-300, "width": 0.5}},
+    "evolve-ss-step-count-infinite": {"kind": "evolve", "field": mh.harness.ZERO_FIELD,
+                                      "grid": _GRID,
+                                      "evolve": {"frame": "self-similar", "s_final": 1e308}},
+    "report-step-count-infinite": {"kind": "decay-report", "field": mh.harness.ZERO_FIELD,
+                                   "report": {"ss_r_dom": 6.0, "ss_n": 32,
+                                              "s_values": [0.0, 1.0, 2.0],
+                                              "t_final": 1e308, "dt": 1e-300}},
 }
 
 
