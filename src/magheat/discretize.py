@@ -63,6 +63,20 @@ class Grid2D:
         return 2.0 * math.log(support_radius / (4.0 * self.h))
 
 
+def harmonic_axis_eigh(grid):
+    """Eigenpairs ``(w, V)`` of the one-axis confined operator
+    T = tridiag(-1/h^2, 2/h^2 + x^2/16, -1/h^2) on ``grid.axis()``.
+
+    Without a field the confined operator on ``grid`` is the Kronecker sum
+    T (x) I + I (x) T, so its eigenvalues are w_i + w_j, with eigenvectors
+    V[:, i] (x) V[:, j]; ``w`` is ascending and ``V`` orthonormal.
+    """
+    x = grid.axis()
+    diag = 2.0 / grid.h**2 + x**2 / 16.0
+    off = np.full(grid.n - 1, -1.0 / grid.h**2)
+    return eigh_tridiagonal(diag, off)
+
+
 def check_s_cap(grid, field, s_values):
     """Reject self-similar times whose rescaled flux tube is under-resolved."""
     if field.is_zero:

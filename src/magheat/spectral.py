@@ -10,11 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import quad
-from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .discretize import (DiscreteOperator, assemble_magnetic, build_grid, check_s_cap,
-                         peierls_phases)
+                         harmonic_axis_eigh, peierls_phases)
 from .errors import SolverConvergenceError
 from .field import GaugeField, alpha_batch, alpha_infinity, beta_of
 
@@ -119,14 +118,11 @@ def _diamagnetic_floor(grid):
     """Zero-field lambda(0) on ``grid``: the floor every lambda(s) there obeys.
 
     Without a field the confined operator is the Kronecker sum T (x) I + I (x) T
-    of one tridiagonal T = tridiag(-1/h^2, 2/h^2 + x^2/16, -1/h^2) per axis,
-    so its lowest eigenvalue is exactly twice that of T.
+    of one tridiagonal T per axis (``harmonic_axis_eigh``), so its lowest
+    eigenvalue is exactly twice that of T.
     """
-    x = grid.axis()
-    diag = 2.0 / grid.h**2 + x**2 / 16.0
-    off = np.full(grid.n - 1, -1.0 / grid.h**2)
-    lowest = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 0))
-    return 2.0 * float(lowest[0])
+    w, _ = harmonic_axis_eigh(grid)
+    return 2.0 * float(w[0])
 
 
 def lambda_curve(field, s_values, grid, tol=1e-8, seed=0):

@@ -140,6 +140,25 @@ def test_diamagnetic_floor(step_half):
         assert lam >= lam0 - 1e-9
 
 
+def test_harmonic_axis_eigh_diagonalizes_the_zero_field_operator(zero_field):
+    from magheat.discretize import harmonic_axis_eigh
+
+    grid = mh.build_grid(6.0, 24)
+    w, V = harmonic_axis_eigh(grid)
+    h, x = grid.h, grid.axis()
+    T = (np.diag(2.0 / h**2 + x**2 / 16.0) - np.diag(np.full(grid.n - 1, 1.0 / h**2), 1)
+         - np.diag(np.full(grid.n - 1, 1.0 / h**2), -1))
+    scale = np.abs(w).max()
+    assert np.all(np.diff(w) > 0.0)
+    assert np.abs(V.T @ V - np.eye(grid.n)).max() <= 1e-12
+    assert np.abs(T @ V - V * w).max() <= 1e-12 * scale
+    # the assembled zero-field confined operator is the Kronecker sum of T
+    phases = mh.peierls_phases(grid, mh.gauge_field(zero_field))
+    L0 = mh.assemble_magnetic(grid, phases, harmonic=True).matrix.toarray()
+    eye = np.eye(grid.n)
+    assert np.abs(L0 - np.kron(T, eye) - np.kron(eye, T)).max() <= 1e-12 * scale
+
+
 def test_discrete_gauge_invariance(step_half, rng):
     grid = mh.build_grid(6.0, 48)
     phases = mh.peierls_phases(grid, mh.gauge_field(step_half))

@@ -98,6 +98,56 @@ def test_cg_dtype_follows_the_generator(monkeypatch, zero_field, step_half, fram
         assert seen == [np.dtype(dtype)] * 3
 
 
+def _cg_calls(monkeypatch):
+    """Spy on ``magheat.evolve.cg``: one dict per call with its preconditioner,
+    its iteration count and its solution."""
+    import magheat.evolve as ev
+
+    inner, calls = ev.cg, []
+
+    def spy(*args, **kwargs):
+        call = {"M": kwargs.get("M"), "iters": 0}
+
+        def tick(_):
+            call["iters"] += 1
+
+        call["out"], info = inner(*args, callback=tick, **kwargs)
+        calls.append(call)
+        return call["out"], info
+
+    monkeypatch.setattr(ev, "cg", spy)
+    return calls
+
+
+def test_selfsimilar_preconditioner_exact_without_field(monkeypatch, zero_field):
+    # P is the zero-field Crank-Nicolson operator itself, so CG stops after
+    # one iteration on every step
+    calls = _cg_calls(monkeypatch)
+    _run("self-similar", zero_field, 10)
+    assert [c["iters"] for c in calls] == [1] * 10
+
+
+def test_selfsimilar_preconditioned_step_matches_direct_solve(monkeypatch, step_half):
+    from scipy.sparse.linalg import spsolve
+
+    calls = _cg_calls(monkeypatch)
+    grid = mh.build_grid(6.0, 64)
+    v0 = mh.gaussian_state(grid, 1.0, frame="self-similar")
+    mh.evolve_selfsimilar(step_half, v0, 0.05, 0.05)
+    (call,) = calls
+    assert call["M"] is not None
+    # one Crank-Nicolson step with the generator at the midpoint s = ds/2
+    phases = mh.peierls_phases(grid, mh.gauge_field(step_half), s=0.025)
+    L = mh.assemble_magnetic(grid, phases, harmonic=True).matrix
+    eye = sp.identity(grid.size, format="csc")
+    direct = spsolve((eye + 0.025 * L).tocsc(), (eye - 0.025 * L) @ v0.values)
+    assert np.linalg.norm(call["out"] - direct) <= 1e-9 * np.linalg.norm(direct)
+    # the physical frame stays unpreconditioned
+    calls.clear()
+    _run("physical", step_half, 2)
+    assert len(calls) == 2 and all(c["M"] is None for c in calls)
+
+
 def test_generator_rebuilt_only_when_it_changes(monkeypatch, zero_field, step_half):
     seen = []
     _spy(monkeypatch, "assemble_magnetic", seen, lambda *args: None)
