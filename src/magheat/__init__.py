@@ -11,8 +11,8 @@ solvable flux-line oracle, and measures decay rates of evolved solutions.
 
 __version__ = "0.1.0"
 
-from .field import (GaugeField, MagneticField, alpha_infinity, beta_of,
-                    gauge_field, make_field, total_flux, vector_potential)
+from .field import (MagneticField, alpha_infinity, beta_of, make_field, total_flux,
+                    vector_potential)
 from .discretize import (DiscreteOperator, Grid2D, LinkPhases, RadialOperator,
                          assemble_magnetic, assemble_radial,
                          assemble_radial_channel, build_grid, peierls_phases)

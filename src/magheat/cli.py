@@ -65,7 +65,10 @@ def main(argv=None):
             print("summaries agree")
             return 0
         # a single experiment kind
-        text = Path(args.config).read_text()
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {args.config} is not UTF-8 text: {exc}") from exc
         config = ExperimentConfig.from_json(text)
         if config.kind != args.command:
             raise ConfigError(
@@ -76,7 +79,7 @@ def main(argv=None):
         summary = load_summary(record.outputs[0])
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0 if summary["pass"] else 1
-    except (ConfigError, PresetError, FileNotFoundError) as exc:
+    except (ConfigError, PresetError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except MagheatError as exc:

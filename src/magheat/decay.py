@@ -47,21 +47,33 @@ def _fit_line(x, y):
     return float(coef[0]), math.sqrt(ssr / m), stderr
 
 
-def fit_polynomial_rate(traj, window):
-    """Polynomial rate of a physical run: minus the slope of log |u| vs log(1+t)."""
-    if traj.frame != "physical":
-        raise ValueError("polynomial rates apply to physical-frame trajectories")
-    t0, t1 = float(window[0]), float(window[1])
-    times = traj.times
-    norms = traj.l2_norms
-    mask = (times >= t0) & (times <= t1)
+def _window_samples(times, norms, window):
+    """The times and norms of the samples a rate fit uses.
+
+    A sample is in ``window`` when it lies within 1e-6 of the sample spacing
+    of its ends, the rule by which configs are validated: the runs accumulate
+    their times step by step, so a sample meant to sit on an end may miss it
+    by a rounding error.  Fewer than ``MIN_FIT_SAMPLES`` samples, or a
+    non-positive norm among them, is a ``ValueError``.
+    """
+    slack = 1e-6 * (times[-1] - times[0]) / max(times.size - 1, 1)
+    mask = (times >= float(window[0]) - slack) & (times <= float(window[1]) + slack)
     if int(mask.sum()) < MIN_FIT_SAMPLES:
         raise ValueError(f"need >= {MIN_FIT_SAMPLES} samples in the window, "
                          f"found {int(mask.sum())}")
     if np.any(norms[mask] <= 0.0):
         raise ValueError("trajectory contains non-positive norms in the window")
-    slope, residual, stderr = _fit_line(np.log1p(times[mask]), np.log(norms[mask]))
-    return DecayFit(frame="physical", exponent=-slope, fit_window=(t0, t1),
+    return times[mask], norms[mask]
+
+
+def fit_polynomial_rate(traj, window):
+    """Polynomial rate of a physical run: minus the slope of log |u| vs log(1+t)."""
+    if traj.frame != "physical":
+        raise ValueError("polynomial rates apply to physical-frame trajectories")
+    times, norms = _window_samples(traj.times, traj.l2_norms, window)
+    slope, residual, stderr = _fit_line(np.log1p(times), np.log(norms))
+    return DecayFit(frame="physical", exponent=-slope,
+                    fit_window=(float(window[0]), float(window[1])),
                     residual=residual, exponent_stderr=stderr)
 
 
@@ -69,19 +81,13 @@ def fit_exponential_rate(traj, window):
     """Exponential rate of a self-similar run: slope of -log |v| vs s."""
     if traj.frame != "self-similar":
         raise ValueError("exponential rates apply to self-similar trajectories")
-    s0, s1 = float(window[0]), float(window[1])
-    times = traj.times
     norms = traj.k_norms
     if np.any(np.isnan(norms)):
         norms = traj.l2_norms
-    mask = (times >= s0) & (times <= s1)
-    if int(mask.sum()) < MIN_FIT_SAMPLES:
-        raise ValueError(f"need >= {MIN_FIT_SAMPLES} samples in the window, "
-                         f"found {int(mask.sum())}")
-    if np.any(norms[mask] <= 0.0):
-        raise ValueError("trajectory contains non-positive norms in the window")
-    slope, residual, stderr = _fit_line(times[mask], np.log(norms[mask]))
-    return DecayFit(frame="self-similar", exponent=-slope, fit_window=(s0, s1),
+    times, norms = _window_samples(traj.times, norms, window)
+    slope, residual, stderr = _fit_line(times, np.log(norms))
+    return DecayFit(frame="self-similar", exponent=-slope,
+                    fit_window=(float(window[0]), float(window[1])),
                     residual=residual, exponent_stderr=stderr)
 
 

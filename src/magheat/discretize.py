@@ -24,7 +24,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ResolutionCapError
-from .field import is_finite_real
+from .field import is_finite_real, vector_potential
 
 # 3-point Gauss-Legendre on [0, 1]
 _GL3_NODES = np.array([0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)])
@@ -127,9 +127,9 @@ class LinkPhases:
         return (self.qh[:, :-1] + self.qv[1:, :] - self.qh[:, 1:] - self.qv[:-1, :])
 
 
-def peierls_phases(grid, gauge, s=None):
-    """Edge phases of a :class:`GaugeField` for the potential A (s is None)
-    or its rescaling A_s.
+def peierls_phases(grid, field, s=None):
+    """Edge phases on ``grid`` of the transverse-gauge potential A of ``field``
+    (s is None) or of its rescaling A_s.
 
     Each edge integral uses 3-point Gauss quadrature of A . dl along the
     straight edge.
@@ -137,20 +137,14 @@ def peierls_phases(grid, gauge, s=None):
     n, h = grid.n, grid.h
     x = grid.axis()
     X, Y = np.meshgrid(x, x, indexing="ij")
-
-    def a_of(points):
-        if s is None:
-            return gauge.eval_batch(points)
-        return gauge.eval_scaled(s, points)
-
     qh = np.zeros((n - 1, n))
     for gx, gw in zip(_GL3_NODES, _GL3_WEIGHTS):
         pts = np.stack([X[:-1, :] + gx * h, Y[:-1, :]], axis=-1)
-        qh += gw * a_of(pts)[..., 0] * h
+        qh += gw * vector_potential(field, pts, s)[..., 0] * h
     qv = np.zeros((n, n - 1))
     for gx, gw in zip(_GL3_NODES, _GL3_WEIGHTS):
         pts = np.stack([X[:, :-1], Y[:, :-1] + gx * h], axis=-1)
-        qv += gw * a_of(pts)[..., 1] * h
+        qv += gw * vector_potential(field, pts, s)[..., 1] * h
     return LinkPhases(grid=grid, qh=qh, qv=qv)
 
 
@@ -174,15 +168,15 @@ class DiscreteOperator:
         return DiscreteOperator(grid=self.grid, matrix=mat)
 
 
-def assemble_magnetic(grid, phases, harmonic):
-    """Five-point Peierls stencil; adds |y|^2/16 on the diagonal when harmonic.
+def assemble_magnetic(phases, harmonic):
+    """Five-point Peierls stencil on ``phases.grid``; adds |y|^2/16 on the
+    diagonal when harmonic.
 
     Hopping from node a to neighbor b carries -exp(-i Q_ab)/h^2 with Q_ab the
     edge phase in the a -> b direction, which is the Hermitian transporter
     convention for (-i grad - A)^2.
     """
-    if phases.grid != grid:
-        raise ValueError("phases were built on a different grid")
+    grid = phases.grid
     n, h = grid.n, grid.h
     X, Y = grid.mesh()
     diag = np.full(grid.size, 4.0 / h**2)

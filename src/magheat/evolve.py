@@ -24,7 +24,6 @@ from .discretize import (Grid2D, assemble_magnetic, check_s_cap, harmonic_axis_e
                          peierls_phases)
 from .errors import (BoundaryContaminationError, ConfigError, FrameMapError,
                      SolverConvergenceError)
-from .field import GaugeField
 
 CG_RTOL = 1e-10
 BOUNDARY_MASS_TOL = 1e-8
@@ -227,8 +226,7 @@ def evolve_physical(field, u0, t_final, dt):
     if t_final <= 0.0 or dt <= 0.0:
         raise ValueError("t_final and dt must be positive")
     grid = u0.grid
-    phases = peierls_phases(grid, GaugeField(field), s=None)
-    matrix = assemble_magnetic(grid, phases, harmonic=False).matrix
+    matrix = assemble_magnetic(peierls_phases(grid, field), harmonic=False).matrix
 
     def record(values, t):
         state = StateVector(grid=grid, values=values, time=t, frame="physical")
@@ -266,7 +264,6 @@ def evolve_selfsimilar(field, v0, s_final, ds):
         raise ValueError("s_final must exceed the initial time")
     grid = v0.grid
     check_s_cap(grid, field, [s_final])
-    gauge = GaugeField(field)
     X, Y = grid.mesh()
     inv_weight = np.exp(-(X**2 + Y**2).ravel() / 8.0)
     built = None
@@ -274,7 +271,7 @@ def evolve_selfsimilar(field, v0, s_final, ds):
     def matrix_at(s):
         nonlocal built
         if built is None or not field.is_zero:
-            built = assemble_magnetic(grid, peierls_phases(grid, gauge, s=s), harmonic=True)
+            built = assemble_magnetic(peierls_phases(grid, field, s=s), harmonic=True)
         return built.matrix
 
     def record(values, s):

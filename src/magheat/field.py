@@ -345,44 +345,19 @@ def flux_at(field, r):
 # transverse gauge
 
 
-@dataclass(frozen=True)
-class GaugeField:
-    """Transverse-gauge vector potential of a field, A(x) = (-x2, x1) g(x)."""
+def vector_potential(field, points, s=None):
+    """Transverse-gauge A(x) = (-x2, x1) g(x) at an (..., 2) array of points,
+    or at a single point, with g(x) = int_0^1 B(tau x) tau dtau =
+    alpha(r, theta) / r^2.
 
-    source: MagneticField
-
-    def _g(self, x, y):
-        """g(x) = int_0^1 B(tau x) tau dtau = alpha(r, theta) / r^2, finite at 0."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        r = np.hypot(x, y)
-        a_val = alpha_batch(self.source, r, np.arctan2(y, x))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            g = np.where(r > 0.0, a_val / np.maximum(r, 1e-300) ** 2, 0.0)
-        if np.any(r == 0.0):
-            g = np.where(r == 0.0, self.source.eval(0.0, 0.0) / 2.0, g)
-        return g
-
-    def eval_batch(self, points):
-        """A at an (n, 2) array of points; returns (n, 2)."""
-        pts = np.asarray(points, dtype=float)
-        x, y = pts[..., 0], pts[..., 1]
-        g = self._g(x, y)
-        return np.stack([-y * g, x * g], axis=-1)
-
-    def eval(self, point):
-        return self.eval_batch(np.asarray(point, dtype=float))
-
-    def eval_scaled(self, s, points):
-        """Rescaled potential e^{s/2} A(e^{s/2} y) of the self-similar frame."""
-        factor = math.exp(s / 2.0)
-        return factor * self.eval_batch(factor * np.asarray(points, dtype=float))
-
-
-def gauge_field(field):
-    return GaugeField(source=field)
-
-
-def vector_potential(field, x):
-    """Transverse-gauge A(x) at a single point."""
-    return GaugeField(field).eval(np.asarray(x, dtype=float))
+    With ``s`` given, returns the rescaled potential A_s(y) = e^{s/2}
+    A(e^{s/2} y) of the self-similar frame.  At the origin A is 0.
+    """
+    scale = 1.0 if s is None else math.exp(s / 2.0)
+    pts = scale * np.asarray(points, dtype=float)
+    x, y = pts[..., 0], pts[..., 1]
+    r = np.hypot(x, y)
+    a_val = alpha_batch(field, r, np.arctan2(y, x))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        g = np.where(r > 0.0, a_val / np.maximum(r, 1e-300) ** 2, 0.0)
+    return scale * np.stack([-y * g, x * g], axis=-1)

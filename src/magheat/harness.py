@@ -16,6 +16,7 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +31,8 @@ from .errors import ConfigError, PresetError
 from .evolve import (MAX_DS, energy_bound_check, evolve_physical, evolve_selfsimilar,
                      gaussian_state, step_count)
 from .exact import ab_spectrum, free_gaussian_norm, laguerre
-from .field import (GaugeField, beta_of, field_from_descriptor, flux_at,
-                    is_finite_real, total_flux)
+from .field import (beta_of, field_from_descriptor, flux_at, is_finite_real, total_flux,
+                    vector_potential)
 from .spectral import (dense_s_grid, hardy_constant, lambda_curve,
                        lambda_limit_estimate, smallest_eigs)
 
@@ -327,13 +328,13 @@ def _run_flux(cfg, out):
 
 def _run_gauge_check(cfg, out):
     fld = cfg.build_field()
-    gauge = GaugeField(fld)
+    a_of = partial(vector_potential, fld)
     rng = np.random.default_rng(cfg.seed)
     tols = {"transversality": 1e-12, "hermiticity": 1e-12, "gauge_invariance": 1e-10,
             **cfg.tolerances}
 
     pts = rng.uniform(-2.0 * fld.support_radius, 2.0 * fld.support_radius, size=(10_000, 2))
-    a_vals = gauge.eval_batch(pts)
+    a_vals = a_of(pts)
     transversality = float(np.max(np.abs(np.sum(pts * a_vals, axis=1))))
 
     # finite-difference curl against the field, two stencils for the order
@@ -342,8 +343,8 @@ def _run_gauge_check(cfg, out):
     for h in (1e-2, 5e-3):
         ex = np.array([h, 0.0])
         ey = np.array([0.0, h])
-        curl = ((gauge.eval_batch(sample + ex)[:, 1] - gauge.eval_batch(sample - ex)[:, 1])
-                - (gauge.eval_batch(sample + ey)[:, 0] - gauge.eval_batch(sample - ey)[:, 0])
+        curl = ((a_of(sample + ex)[:, 1] - a_of(sample - ex)[:, 1])
+                - (a_of(sample + ey)[:, 0] - a_of(sample - ey)[:, 0])
                 ) / (2.0 * h)
         curl_res.append(float(np.max(np.abs(curl - fld.eval(sample[:, 0], sample[:, 1])))))
     curl_order = math.log(curl_res[0] / max(curl_res[1], 1e-300)) / math.log(2.0) \
@@ -352,13 +353,13 @@ def _run_gauge_check(cfg, out):
     # scaling consistency of the rescaled potential, exact as composed maps
     s_test = 1.3
     pts_s = rng.uniform(-1.0, 1.0, size=(100, 2))
-    lhs = gauge.eval_scaled(s_test, pts_s)
-    rhs = math.exp(s_test / 2.0) * gauge.eval_batch(math.exp(s_test / 2.0) * pts_s)
+    lhs = a_of(pts_s, s_test)
+    rhs = math.exp(s_test / 2.0) * a_of(math.exp(s_test / 2.0) * pts_s)
     scaling = float(np.max(np.abs(lhs - rhs)))
 
     grid = cfg.build_grid() if cfg.grid else build_grid(6.0, 48)
-    phases = peierls_phases(grid, gauge, s=None)
-    op = assemble_magnetic(grid, phases, harmonic=True)
+    phases = peierls_phases(grid, fld)
+    op = assemble_magnetic(phases, harmonic=True)
     u = rng.standard_normal(op.dimension) + 1j * rng.standard_normal(op.dimension)
     v = rng.standard_normal(op.dimension) + 1j * rng.standard_normal(op.dimension)
     herm = abs(np.vdot(u, op.apply(v)) - np.conj(np.vdot(v, op.apply(u))))
@@ -366,7 +367,7 @@ def _run_gauge_check(cfg, out):
 
     pairs, _, _ = smallest_eigs(op, k=6, seed=cfg.seed)
     chi = rng.standard_normal((grid.n, grid.n))
-    op2 = assemble_magnetic(grid, phases.gauge_transformed(chi), harmonic=True)
+    op2 = assemble_magnetic(phases.gauge_transformed(chi), harmonic=True)
     pairs2, _, _ = smallest_eigs(op2, k=6, seed=cfg.seed)
     gauge_dev = float(np.max(np.abs(np.array([p[0] for p in pairs])
                                     - np.array([p[0] for p in pairs2]))))
@@ -747,7 +748,8 @@ def run_suite(name, out_dir=None, workers=1):
     configs = preset_suite(name)
     if workers <= 1:
         return [run(cfg, out_dir=out_dir) for cfg in configs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # the pool starts all of its workers on the first submit
+    with ProcessPoolExecutor(max_workers=min(workers, len(configs))) as pool:
         futures = [pool.submit(run, cfg, out_dir) for cfg in configs]
         return [f.result() for f in futures]
 
@@ -801,5 +803,12 @@ def compare(summary_a, summary_b, rtol=1e-9, atol=1e-12):
 
 
 def load_summary(path):
-    with open(path) as fh:
-        return json.load(fh)
+    """The summary dict stored at ``path``; a ConfigError unless it is a JSON object."""
+    try:
+        with open(path) as fh:
+            summary = json.load(fh)
+    except ValueError as exc:       # undecodable text or invalid JSON
+        raise ConfigError(f"{path} is not a JSON summary: {exc}") from exc
+    if not isinstance(summary, dict):
+        raise ConfigError(f"{path} holds a JSON {type(summary).__name__}, not a summary")
+    return summary

@@ -15,7 +15,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh, splu
 from .discretize import (DiscreteOperator, assemble_magnetic, build_grid, check_s_cap,
                          harmonic_axis_eigh, peierls_phases)
 from .errors import SolverConvergenceError
-from .field import GaugeField, alpha_batch, alpha_infinity, beta_of
+from .field import alpha_batch, alpha_infinity, beta_of
 
 DIAMAGNETIC_SLACK = 1e-9    # floor tolerance of the discrete diamagnetic bound
 DEGENERACY_FLUX_TOL = 1e-6  # half-integer detection for block solves
@@ -138,10 +138,9 @@ def lambda_curve(field, s_values, grid, tol=1e-8, seed=0):
     beta = beta_of(field)
     k = 2 if abs(beta - 0.5) < DEGENERACY_FLUX_TOL else 1
     lam_floor = _diamagnetic_floor(grid)
-    gauge = GaugeField(field)
     samples = []
     for s in s_values:
-        op = assemble_magnetic(grid, peierls_phases(grid, gauge, s=s), harmonic=True)
+        op = assemble_magnetic(peierls_phases(grid, field, s=s), harmonic=True)
         pairs, residual, iterations = smallest_eigs(op, k=k, tol=tol, seed=seed)
         lam = pairs[0][0]
         if lam < lam_floor - DIAMAGNETIC_SLACK:
@@ -252,8 +251,7 @@ def hardy_constant(field, r_dom, n, seed=0):
     same eigenvalues, so its lowest eigenvalue comes from ``smallest_eigs``.
     """
     grid = build_grid(r_dom, n)
-    phases = peierls_phases(grid, GaugeField(field), s=None)
-    op = assemble_magnetic(grid, phases, harmonic=False)
+    op = assemble_magnetic(peierls_phases(grid, field), harmonic=False)
     X, Y = grid.mesh()
     d = sp.diags(np.sqrt(1.0 + (X**2 + Y**2).ravel()))
     scaled = DiscreteOperator(grid=grid, matrix=(d @ op.matrix @ d).tocsr())

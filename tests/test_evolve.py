@@ -52,8 +52,7 @@ def test_cn_real_generator_on_complex_data(zero_field, rng):
     # a real generator on complex data steps both parts at once, as if each
     # part were stepped on its own
     grid = mh.build_grid(6.0, 32)
-    op = mh.assemble_magnetic(grid, mh.peierls_phases(grid, mh.gauge_field(zero_field)),
-                              harmonic=True)
+    op = mh.assemble_magnetic(mh.peierls_phases(grid, zero_field), harmonic=True)
     assert not np.iscomplexobj(op.matrix)
     re, im = rng.standard_normal((2, grid.size))
 
@@ -137,8 +136,8 @@ def test_selfsimilar_preconditioned_step_matches_direct_solve(monkeypatch, step_
     (call,) = calls
     assert call["M"] is not None
     # one Crank-Nicolson step with the generator at the midpoint s = ds/2
-    phases = mh.peierls_phases(grid, mh.gauge_field(step_half), s=0.025)
-    L = mh.assemble_magnetic(grid, phases, harmonic=True).matrix
+    phases = mh.peierls_phases(grid, step_half, s=0.025)
+    L = mh.assemble_magnetic(phases, harmonic=True).matrix
     eye = sp.identity(grid.size, format="csc")
     direct = spsolve((eye + 0.025 * L).tocsc(), (eye - 0.025 * L) @ v0.values)
     assert np.linalg.norm(call["out"] - direct) <= 1e-9 * np.linalg.norm(direct)
@@ -182,8 +181,8 @@ def test_frame_map_explicit_target_grid():
 def test_cn_ground_state_decay_order(zero_field):
     # one unit of time at two step sizes: second-order approach to e^{-lam}
     grid = mh.build_grid(8.0, 64)
-    phases = mh.peierls_phases(grid, mh.gauge_field(zero_field))
-    op = mh.assemble_magnetic(grid, phases, harmonic=True)
+    phases = mh.peierls_phases(grid, zero_field)
+    op = mh.assemble_magnetic(phases, harmonic=True)
     lam, vec = mh.smallest_eigs(op, k=1)[0][0]
     errs = []
     for dt in (0.1, 0.05):
@@ -232,8 +231,8 @@ def test_evolve_physical_boundary_abort(zero_field):
 
 def test_evolve_selfsimilar_ground_state_rate(zero_field):
     grid = mh.build_grid(8.0, 96)
-    phases = mh.peierls_phases(grid, mh.gauge_field(zero_field))
-    op = mh.assemble_magnetic(grid, phases, harmonic=True)
+    phases = mh.peierls_phases(grid, zero_field)
+    op = mh.assemble_magnetic(phases, harmonic=True)
     lam, vec = mh.smallest_eigs(op, k=1)[0][0]
     v0 = mh.StateVector(grid=grid, values=vec.astype(complex), time=0.0,
                         frame="self-similar")

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -197,7 +198,7 @@ def test_peierls_phases_route_through_alpha_batch(step_half, offset_bump, monkey
     monkeypatch.setattr(mh.field, "alpha_batch", counting)
     grid = mh.build_grid(4.0, 16)
     for f in (step_half, offset_bump):
-        mh.peierls_phases(grid, mh.gauge_field(f), s=1.0)
+        mh.peierls_phases(grid, f, s=1.0)
         assert f in calls
 
 
@@ -235,33 +236,31 @@ def test_vector_potential_examples(step_half):
 
 
 def test_transversality(offset_bump, rng):
-    gauge = mh.gauge_field(offset_bump)
     pts = rng.uniform(-4, 4, size=(10_000, 2))
-    a_vals = gauge.eval_batch(pts)
+    a_vals = mh.vector_potential(offset_bump, pts)
     assert np.max(np.abs(np.sum(pts * a_vals, axis=1))) < 1e-12
 
 
 def test_curl_matches_field(offset_bump, rng):
     # finite-difference curl of A reproduces B at second order in the stencil
-    gauge = mh.gauge_field(offset_bump)
     pts = rng.uniform(-1.2, 1.2, size=(30, 2))
+    a_of = partial(mh.vector_potential, offset_bump)
     residuals = []
     for h in (2e-2, 1e-2):
         ex, ey = np.array([h, 0.0]), np.array([0.0, h])
-        curl = ((gauge.eval_batch(pts + ex)[:, 1] - gauge.eval_batch(pts - ex)[:, 1])
-                - (gauge.eval_batch(pts + ey)[:, 0] - gauge.eval_batch(pts - ey)[:, 0])
+        curl = ((a_of(pts + ex)[:, 1] - a_of(pts - ex)[:, 1])
+                - (a_of(pts + ey)[:, 0] - a_of(pts - ey)[:, 0])
                 ) / (2 * h)
         residuals.append(np.max(np.abs(curl - offset_bump.eval(pts[:, 0], pts[:, 1]))))
     order = math.log(residuals[0] / residuals[1]) / math.log(2.0)
     assert order > 1.7
 
 
-def test_eval_scaled_is_composition(bump_field, rng):
-    gauge = mh.gauge_field(bump_field)
+def test_scaled_potential_is_composition(bump_field, rng):
     pts = rng.uniform(-2, 2, size=(50, 2))
     s = 1.7
-    lhs = gauge.eval_scaled(s, pts)
-    rhs = math.exp(s / 2) * gauge.eval_batch(math.exp(s / 2) * pts)
+    lhs = mh.vector_potential(bump_field, pts, s)
+    rhs = math.exp(s / 2) * mh.vector_potential(bump_field, math.exp(s / 2) * pts)
     assert np.array_equal(lhs, rhs)
 
 

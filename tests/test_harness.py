@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
 from dataclasses import asdict
 from pathlib import Path
 
@@ -99,11 +100,11 @@ def test_gauge_transform_compare(tmp_path, rng):
     # spectra before and after a discrete gauge transformation agree to 1e-10
     grid = mh.build_grid(6.0, 40)
     field = mh.make_field("radial-step", {"b0": 1.0, "r": 1.0})
-    phases = mh.peierls_phases(grid, mh.gauge_field(field))
-    op = mh.assemble_magnetic(grid, phases, harmonic=True)
+    phases = mh.peierls_phases(grid, field)
+    op = mh.assemble_magnetic(phases, harmonic=True)
     vals = np.array([p[0] for p in mh.smallest_eigs(op, k=5)[0]])
     chi = rng.standard_normal((grid.n, grid.n))
-    op2 = mh.assemble_magnetic(grid, phases.gauge_transformed(chi), harmonic=True)
+    op2 = mh.assemble_magnetic(phases.gauge_transformed(chi), harmonic=True)
     vals2 = np.array([p[0] for p in mh.smallest_eigs(op2, k=5)[0]])
     assert np.max(np.abs(vals - vals2)) < 1e-10
 
@@ -299,6 +300,26 @@ def test_fit_window_sample_count_matches_the_fit(tmp_path):
                                                               "fit_window": [0.2, 1.0]}})
 
 
+@pytest.mark.parametrize("grid, evolve", [
+    ({"r_dom": 16.0, "n": 63},
+     {"frame": "physical", "t_final": 2.0, "dt": 0.1, "fit_window": [1.0, 2.0]}),
+    (_GRID, {"frame": "self-similar", "s_final": 1.0, "ds": 0.05,
+             "fit_window": [0.5, 0.975]}),
+])
+def test_grid_aligned_fit_window_fits_what_validate_counts(tmp_path, grid, evolve):
+    # accumulated times land a rounding error off the window ends (t_10 =
+    # 0.9999999999999999, t_20 = 2.0000000000000004); the fit keeps them
+    config = {"kind": "evolve", "label": "aligned", "field": mh.harness.ZERO_FIELD,
+              "grid": grid, "evolve": evolve}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    from magheat.cli import main
+
+    assert main(["evolve", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    summary = load_summary(tmp_path / "aligned" / "summary.json")
+    assert math.isfinite(summary["gamma" if evolve["frame"] == "physical" else "slope"])
+
+
 def test_failed_run_leaves_no_empty_directory(tmp_path):
     # the domain is too small for t_final: boundary contamination, exit 1
     config = {"kind": "evolve", "label": "fw", "field": _STEP,
@@ -347,9 +368,59 @@ def test_cli_numeric_failure_exit_code(tmp_path):
                  "--out", str(tmp_path)]) == 1
 
 
+MALFORMED_FILES = {
+    "compare-not-json": ("compare", b"{not json"),
+    "compare-json-list": ("compare", b"[1, 2]"),
+    "config-directory": ("flux", None),
+    "config-not-utf8": ("flux", b'{"kind": "flux", "label": "\xff"}'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
+def test_cli_malformed_file_exit_code(tmp_path, name):
+    from magheat.cli import main
+
+    command, content = MALFORMED_FILES[name]
+    path = tmp_path / "input"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    if command == "compare":
+        argv = ["compare", str(path), str(path)]
+    else:
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+
+
 def test_run_suite_parallel_workers(tmp_path):
     recs = mh.run_suite("oracle-only", out_dir=tmp_path, workers=2)
     assert all(load_summary(r.outputs[0])["pass"] for r in recs)
+
+
+def test_run_suite_caps_workers_at_suite_size(tmp_path, monkeypatch):
+    # a serial stand-in records the pool size; no real pool is started
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(mh.harness, "ProcessPoolExecutor", SerialPool)
+    recs = mh.run_suite("oracle-only", out_dir=tmp_path, workers=5000)
+    assert sizes == [len(mh.preset_suite("oracle-only"))]
+    assert len(recs) == sizes[0]
 
 
 def test_cli_entrypoint_subprocess(tmp_path):
@@ -386,3 +457,43 @@ def test_env_default_out_dir(tmp_path, monkeypatch):
     cfg = ExperimentConfig(kind="flux", label="envrun", field=mh.harness.ZERO_FIELD)
     run(cfg)
     assert (tmp_path / "envout" / "envrun" / "summary.json").exists()
+
+
+# runner branches that only the paper-headline suite reaches, on small grids:
+# each config with the flags and summary keys its run must produce
+RUNNER_BRANCHES = {
+    "evolve-physical-oracle-fit": (
+        {"kind": "evolve", "field": mh.harness.ZERO_FIELD, "grid": {"r_dom": 16.0, "n": 127},
+         "evolve": {"frame": "physical", "t_final": 2.0, "dt": 0.1,
+                    "oracle": "free-gaussian", "fit_window": [0.5, 1.95]}},
+        {"oracle", "contraction"}, {"gamma", "oracle_max_rel_dev"}),
+    "evolve-selfsimilar-fit-energy": (
+        {"kind": "evolve", "field": mh.harness._field_step(0.5, 2.6),
+         "grid": {"r_dom": 7.0, "n": 48},
+         "evolve": {"frame": "self-similar", "s_final": 1.0,
+                    "fit_window": [0.45, 0.975], "energy_bound": True}},
+        {"energy_bound", "contraction"}, {"slope", "energy_bound_margin"}),
+    "hardy-halfflux": (
+        {"kind": "hardy", "field": mh.harness._field_step(0.5, 1.0),
+         "sweep": [4.25, 6.0], "h": 0.5},
+        {"uniformly_positive"}, {"sweep"}),
+    "hardy-free": (
+        {"kind": "hardy", "field": mh.harness.ZERO_FIELD, "sweep": [4.25, 6.0, 8.0], "h": 0.5},
+        {"decreasing_to_zero"}, {"sweep"}),
+    "lambda-curve-flags": (
+        {"kind": "lambda-curve", "field": mh.harness._field_step(0.5, 3.0),
+         "grid": {"r_dom": 7.0, "n": 64}, "s_values": [0.0, 1.0, 2.0],
+         # lambda(2) = 0.58 is still well short of its limit 0.75
+         "tolerances": {"limit_abs": 0.2, "monotone_approach": True, "floor": 1e-3}},
+        {"floor", "limit", "monotone_approach"}, {"extrapolated_limit"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNNER_BRANCHES))
+def test_runner_branch(tmp_path, name):
+    config, flags, keys = RUNNER_BRANCHES[name]
+    cfg = ExperimentConfig.from_dict({"label": name, **config})
+    summary = load_summary(run(cfg, out_dir=tmp_path).outputs[0])
+    assert set(summary["flags"]) == flags
+    assert keys <= set(summary)
+    assert summary["pass"], summary["flags"]

@@ -9,8 +9,8 @@ from magheat.errors import ResolutionCapError
 
 def test_smallest_eigs_lho_cluster(zero_field):
     grid = mh.build_grid(16.0, 128)
-    phases = mh.peierls_phases(grid, mh.gauge_field(zero_field))
-    op = mh.assemble_magnetic(grid, phases, harmonic=True)
+    phases = mh.peierls_phases(grid, zero_field)
+    op = mh.assemble_magnetic(phases, harmonic=True)
     pairs, residual, _ = mh.smallest_eigs(op, k=3, tol=1e-8)
     vals = [p[0] for p in pairs]
     assert vals[0] == pytest.approx(0.5, abs=1e-3)
@@ -22,8 +22,8 @@ def test_smallest_eigs_lho_cluster(zero_field):
 
 def test_smallest_eigs_shift_invariance(zero_field):
     grid = mh.build_grid(8.0, 48)
-    phases = mh.peierls_phases(grid, mh.gauge_field(zero_field))
-    op = mh.assemble_magnetic(grid, phases, harmonic=True)
+    phases = mh.peierls_phases(grid, zero_field)
+    op = mh.assemble_magnetic(phases, harmonic=True)
     base = [p[0] for p in mh.smallest_eigs(op, k=2)[0]]
     shifted = [p[0] for p in mh.smallest_eigs(op.shifted(0.7), k=2)[0]]
     assert np.allclose(np.array(shifted) - np.array(base), 0.7, atol=1e-9)
@@ -31,8 +31,8 @@ def test_smallest_eigs_shift_invariance(zero_field):
 
 def test_smallest_eigs_validation(zero_field):
     grid = mh.build_grid(8.0, 24)
-    phases = mh.peierls_phases(grid, mh.gauge_field(zero_field))
-    op = mh.assemble_magnetic(grid, phases, harmonic=True)
+    phases = mh.peierls_phases(grid, zero_field)
+    op = mh.assemble_magnetic(phases, harmonic=True)
     with pytest.raises(ValueError):
         mh.smallest_eigs(op, k=0)
     with pytest.raises(ValueError):
@@ -56,8 +56,8 @@ def test_lambda_curve_zero_field(zero_field):
 def test_diamagnetic_floor_matches_eigensolve(zero_field, r_dom, n):
     # the separable floor against a 2-D eigensolve of the assembled operator
     grid = mh.build_grid(r_dom, n)
-    phases = mh.peierls_phases(grid, mh.gauge_field(zero_field))
-    op = mh.assemble_magnetic(grid, phases, harmonic=True)
+    phases = mh.peierls_phases(grid, zero_field)
+    op = mh.assemble_magnetic(phases, harmonic=True)
     pairs, _, _ = mh.smallest_eigs(op, k=1)
     assert mh.spectral._diamagnetic_floor(grid) == pytest.approx(pairs[0][0], abs=1e-10)
 
@@ -180,8 +180,8 @@ def test_hardy_constant_matches_dense_generalized_eigh(request, field_name, r_do
 
     field = request.getfixturevalue(field_name)
     grid = mh.build_grid(r_dom, n)
-    phases = mh.peierls_phases(grid, mh.gauge_field(field))
-    op = mh.assemble_magnetic(grid, phases, harmonic=False)
+    phases = mh.peierls_phases(grid, field)
+    op = mh.assemble_magnetic(phases, harmonic=False)
     X, Y = grid.mesh()
     w = 1.0 / (1.0 + (X**2 + Y**2).ravel())
     expected = eigh(op.matrix.toarray(), np.diag(w), eigvals_only=True,
@@ -253,8 +253,8 @@ def test_lambda_limit_flux_periodicity():
 
 def test_eigenvector_harmonic_localization(zero_field):
     grid = mh.build_grid(16.0, 160)
-    phases = mh.peierls_phases(grid, mh.gauge_field(zero_field))
-    op = mh.assemble_magnetic(grid, phases, harmonic=True)
+    phases = mh.peierls_phases(grid, zero_field)
+    op = mh.assemble_magnetic(phases, harmonic=True)
     pairs, _, _ = mh.smallest_eigs(op, k=1)
     vec = pairs[0][1]
     X, Y = grid.mesh()
