@@ -135,8 +135,7 @@ def peierls_phases(grid, field, s=None):
     straight edge.
     """
     n, h = grid.n, grid.h
-    x = grid.axis()
-    X, Y = np.meshgrid(x, x, indexing="ij")
+    X, Y = grid.mesh()
     qh = np.zeros((n - 1, n))
     for gx, gw in zip(_GL3_NODES, _GL3_WEIGHTS):
         pts = np.stack([X[:-1, :] + gx * h, Y[:-1, :]], axis=-1)
@@ -169,12 +168,15 @@ class DiscreteOperator:
 
 
 def assemble_magnetic(phases, harmonic):
-    """Five-point Peierls stencil on ``phases.grid``; adds |y|^2/16 on the
-    diagonal when harmonic.
+    """Five-point Peierls stencil on ``phases.grid``; adds |x|^2/16 at node x
+    on the diagonal when harmonic.
 
     Hopping from node a to neighbor b carries -exp(-i Q_ab)/h^2 with Q_ab the
     edge phase in the a -> b direction, which is the Hermitian transporter
-    convention for (-i grad - A)^2.
+    convention for (-i grad - A)^2.  Node (i, j) sits at flat index i n + j,
+    so the ``qh`` edges fill the diagonals at offsets +-n and the ``qv`` edges
+    those at +-1; the +-1 diagonals hold a zero where a row of nodes ends
+    (j = n - 1), and the CSR conversion drops it.
     """
     grid = phases.grid
     n, h = grid.n, grid.h
@@ -187,21 +189,14 @@ def assemble_magnetic(phases, harmonic):
     # cost of the zero-field baselines
     real = not (np.any(phases.qh) or np.any(phases.qv))
     dtype = np.float64 if real else np.complex128
-    idx = np.arange(grid.size).reshape(n, n)
-    rows, cols, vals = [], [], []
-    for q, (ra, ca) in ((phases.qh, (idx[:-1, :], idx[1:, :])),
-                        (phases.qv, (idx[:, :-1], idx[:, 1:]))):
-        hop = (np.ones(q.size) if real else np.exp(-1j * q.ravel())) / h**2
-        r_, c_ = ra.ravel(), ca.ravel()
-        rows += [r_, c_]
-        cols += [c_, r_]
-        vals += [-hop, -np.conj(hop)]
-    rows.append(np.arange(grid.size))
-    cols.append(np.arange(grid.size))
-    vals.append(diag.astype(dtype))
-    matrix = sp.csr_matrix(
-        (np.concatenate(vals).astype(dtype), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.size, grid.size))
+
+    def hop(q):
+        return (np.ones(q.shape) if real else np.exp(-1j * q)) / h**2
+
+    hop_h = hop(phases.qh).ravel()
+    hop_v = np.pad(hop(phases.qv), ((0, 0), (0, 1))).ravel()[:-1]
+    matrix = sp.diags([diag, -hop_h, -hop_h.conj(), -hop_v, -hop_v.conj()],
+                      [0, n, -n, 1, -1], format="csr", dtype=dtype)
     return DiscreteOperator(grid=grid, matrix=matrix)
 
 

@@ -112,6 +112,9 @@ _EVOLVE = {
 # what _run_evolve assumes for the entries a config leaves out
 _EVOLVE_DEFAULTS = {"frame": "physical", "width": 1.5, "t_final": 10.0, "dt": 0.1,
                     "s_final": 4.0, "ds": 0.05}
+# the entries that each frame never reads
+_EVOLVE_UNREAD = {"physical": {"s_final", "ds", "energy_bound"},
+                  "self-similar": {"t_final", "dt", "oracle"}}
 # the two report grids are left to build_grid
 _REPORT = {
     **dict.fromkeys(("ss_r_dom", "ss_n", "phys_r_dom", "phys_n")),
@@ -122,7 +125,6 @@ _REPORT = {
     "initial_data": _list_of(lambda v: v in INITIAL_DATA),
     **dict.fromkeys(("gamma_tol", "lambda_tol", "c_b_tol", "energy_slack", "floor_tol"),
                     lambda v: is_finite_real(v) and v >= 0),
-    "seed": _is_count,
 }
 
 
@@ -215,7 +217,14 @@ class ExperimentConfig:
         _check_entries("evolve", self.evolve, _EVOLVE)
         if self.evolve is not None:
             ev = {**_EVOLVE_DEFAULTS, **self.evolve}
-            span, step = ((ev["t_final"], ev["dt"]) if ev["frame"] == "physical"
+            frame = ev["frame"]
+            unread = sorted(_EVOLVE_UNREAD[frame] & set(self.evolve))
+            if unread:
+                raise ConfigError(f"evolve entries {unread} are not read by the {frame} frame")
+            if "oracle" in ev and not ev["width"] < 2.0:
+                raise ConfigError(f"the free-gaussian oracle needs a width in (0, 2), "
+                                  f"got {ev['width']!r}")
+            span, step = ((ev["t_final"], ev["dt"]) if frame == "physical"
                           else (ev["s_final"], ev["ds"]))
             step_count(span, step)      # a ConfigError when not finite
             if "fit_window" in ev:
@@ -573,9 +582,7 @@ def _run_evolve(cfg, out):
 
 def _run_decay_report(cfg, out):
     fld = cfg.build_field()
-    kwargs = dict(cfg.report or {})
-    report_cfg = ReportConfig(**kwargs)
-    report = theorem_report(fld, report_cfg)
+    report = theorem_report(fld, ReportConfig(**(cfg.report or {}), seed=cfg.seed))
     rows = [(s["s"], s["lambda"], s["residual"]) for s in report["lambda_curve"]]
     path = out / "lambda_curve.csv"
     _write_csv(path, ("s", "lambda", "residual"), rows)

@@ -82,6 +82,36 @@ def test_assemble_hermitian_and_psd(offset_bump, rng):
     assert quad_form.real > 0.0
 
 
+@pytest.mark.parametrize("harmonic", [False, True])
+@pytest.mark.parametrize("s", [None, 1.3])
+def test_assemble_stencil_entries(offset_bump, zero_field, s, harmonic):
+    # every entry against a matrix built node by node; conjugated hops (B -> -B,
+    # the same spectrum) or a +-1 diagonal that wraps across a row end fail here
+    grid = mh.build_grid(3.0, 16)
+    n, h = grid.n, grid.h
+    x = grid.axis()
+    phases = mh.peierls_phases(grid, offset_bump, s=s)
+    expected = np.zeros((grid.size, grid.size), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            a = i * n + j
+            expected[a, a] = 4.0 / h**2 + harmonic * (x[i] ** 2 + x[j] ** 2) / 16.0
+            edges = []
+            if i + 1 < n:
+                edges.append((a + n, phases.qh[i, j]))
+            if j + 1 < n:
+                edges.append((a + 1, phases.qv[i, j]))
+            for b, q in edges:
+                expected[a, b] = -np.exp(-1j * q) / h**2
+                expected[b, a] = -np.exp(1j * q) / h**2
+    matrix = mh.assemble_magnetic(phases, harmonic).matrix
+    assert matrix.nnz == 5 * n**2 - 4 * n
+    np.testing.assert_allclose(matrix.toarray(), expected, rtol=0.0, atol=1e-13)
+    free = mh.assemble_magnetic(mh.peierls_phases(grid, zero_field, s=s), harmonic).matrix
+    assert free.dtype == np.float64
+    assert free.nnz == 5 * n**2 - 4 * n
+
+
 def test_free_stencil_symbol(zero_field):
     # interior rows act on plane waves with the 4 sin^2 / h^2 symbol
     grid = mh.build_grid(4.0, 64)

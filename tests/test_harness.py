@@ -149,6 +149,28 @@ def test_run_decay_report_small(tmp_path):
     assert any(p.endswith("fit_residuals.csv") for p in rec.outputs)
 
 
+def test_decay_report_solves_with_the_config_seed(tmp_path, monkeypatch):
+    import magheat.spectral as spectral
+
+    seeds = []
+    inner = spectral.smallest_eigs
+
+    def spy(*args, seed=0, **kwargs):
+        seeds.append(seed)
+        return inner(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(spectral, "smallest_eigs", spy)
+    cfg = ExperimentConfig(
+        kind="decay-report", label="seeded", field=mh.harness.ZERO_FIELD, seed=7,
+        report={"ss_r_dom": 6.0, "ss_n": 32, "s_values": [0.0, 1.0, 2.0], "s_final": 1.0,
+                "phys_r_dom": 12.0, "phys_n": 48, "t_final": 1.0, "width": 1.0,
+                "fit_window": [0.1, 1.0], "ss_fit_window": [0.4, 1.0],
+                "initial_data": ["gaussian"]})
+    summary = load_summary(run(cfg, out_dir=tmp_path).outputs[0])
+    assert summary["seed"] == 7
+    assert seeds and set(seeds) == {7}
+
+
 def test_suite_definitions():
     for name in ("quick", "oracle-only", "paper-headline"):
         configs = mh.preset_suite(name)
@@ -243,8 +265,23 @@ MALFORMED = {
                                     "report": {"initial_data": ["gaussian", "square"]}},
     "report-tolerance-string": {"kind": "decay-report", "field": _STEP,
                                 "report": {"gamma_tol": "0.05"}},
+    # the run's seed is the config's top-level seed
+    "report-seed": {"kind": "decay-report", "field": _STEP, "report": {"seed": 7}},
     "evolve-ds-large": {"kind": "evolve", "field": _STEP, "grid": _GRID,
                         "evolve": {"frame": "self-similar", "ds": 0.1}},
+    # entries the chosen frame never reads, and an oracle outside its widths
+    "evolve-selfsimilar-oracle": {"kind": "evolve", "field": _STEP, "grid": _GRID,
+                                  "evolve": {"frame": "self-similar", "s_final": 1.0,
+                                             "oracle": "free-gaussian"}},
+    "evolve-physical-energy-bound": {"kind": "evolve", "field": _STEP, "grid": _GRID,
+                                     "evolve": {"frame": "physical", "t_final": 1.0,
+                                                "energy_bound": True}},
+    "evolve-physical-s_final": {"kind": "evolve", "field": _STEP, "grid": _GRID,
+                                "evolve": {"t_final": 1.0, "s_final": 1.0}},
+    "evolve-oracle-wide": {"kind": "evolve", "field": mh.harness.ZERO_FIELD,
+                           "grid": {"r_dom": 16.0, "n": 63},
+                           "evolve": {"frame": "physical", "t_final": 1.0, "width": 2.5,
+                                      "oracle": "free-gaussian"}},
     # fit windows holding fewer than the 10 samples a rate fit needs
     "evolve-fit-window-narrow": {"kind": "evolve", "field": _STEP,
                                  "grid": {"r_dom": 16.0, "n": 63},
