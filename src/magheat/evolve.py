@@ -4,8 +4,10 @@ The physical frame evolves the autonomous magnetic heat equation; the
 self-similar frame evolves the non-autonomous confined equation whose
 generator is refreshed at the midpoint of every step.  Both step through one
 unconditionally stable Crank-Nicolson driver with conjugate-gradient solves,
-norm non-increasing for positive semidefinite generators; the self-similar
-solves are preconditioned by the zero-field operator.
+norm non-increasing for positive semidefinite generators.  Both frames
+precondition their solves by the zero-field Crank-Nicolson operator, inverted
+by fast diagonalization: a DST-I in the physical frame, dense eigenvectors of
+the confined axis operator in the self-similar one.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.fft import dstn
 from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.linalg import LinearOperator, cg
 from scipy.special import logsumexp
@@ -138,24 +141,34 @@ def step_count(span, step):
     return round(ratio)
 
 
-def _fast_diagonalization(grid, dt):
-    """P^{-1} for P = I + dt/2 (T (x) I + I (x) T), the zero-field confined
-    Crank-Nicolson operator on ``grid``.
+def _fast_diagonalization(grid, dt, harmonic):
+    """P^{-1} for P = I + dt/2 (T (x) I + I (x) T), the zero-field
+    Crank-Nicolson operator of ``assemble_magnetic(.., harmonic)`` on ``grid``.
 
-    With T = V diag(w) V^T (``harmonic_axis_eigh``), P^{-1} r is
+    With ``harmonic`` T is the confined axis operator, T = V diag(w) V^T
+    (``harmonic_axis_eigh``), and P^{-1} r is
     V ((V^T R V) / (1 + dt/2 (w_i + w_j))) V^T for r = vec(R): four dense
     n x n products.  ``V`` is real, so complex data go through as their real
     and imaginary parts; numpy would otherwise promote ``V`` to complex and
     double the cost of each product.
+
+    Without it T = tridiag(-1, 2, -1)/h^2, which the orthonormal DST-I
+    diagonalizes with eigenvalues (2 - 2 cos(k pi/(n+1)))/h^2; the transform is
+    its own inverse, so P^{-1} r is dstn(dstn(R) / (1 + dt/2 (w_i + w_j))).
+    Complex data are viewed as a trailing axis of real and imaginary parts, so
+    both parts go through one transform without being copied apart.
     """
-    w, V = harmonic_axis_eigh(grid)
-    scale = 1.0 / (1.0 + (dt / 2.0) * (w[:, None] + w[None, :]))
     n = grid.n
+    if harmonic:
+        w, V = harmonic_axis_eigh(grid)
+    else:
+        w = (2.0 - 2.0 * np.cos(np.arange(1, n + 1) * (np.pi / (n + 1)))) / grid.h**2
+    scale = 1.0 / (1.0 + (dt / 2.0) * (w[:, None] + w[None, :]))
 
     def solve_real(R):
         return V @ ((V.T @ R @ V) * scale) @ V.T
 
-    def apply(r):
+    def apply_harmonic(r):
         R = r.reshape(n, n)
         if not np.iscomplexobj(r):
             return solve_real(R).ravel()
@@ -164,7 +177,15 @@ def _fast_diagonalization(grid, dt):
         out.imag = solve_real(R.imag)
         return out.ravel()
 
-    return LinearOperator((grid.size, grid.size), matvec=apply, dtype=np.float64)
+    def apply_dst(r):
+        R = r.view(np.float64).reshape(n, n, -1)
+        spectrum = dstn(R, type=1, norm="ortho", axes=(0, 1))
+        spectrum *= scale[:, :, None]
+        out = dstn(spectrum, type=1, norm="ortho", axes=(0, 1), overwrite_x=True)
+        return out.view(r.dtype).ravel()
+
+    return LinearOperator((grid.size, grid.size), dtype=np.float64,
+                          matvec=apply_harmonic if harmonic else apply_dst)
 
 
 def _cn_solver(matrix, dt, precondition):
@@ -220,6 +241,9 @@ def evolve_physical(field, u0, t_final, dt):
 
     Records the plain norm at every step and the weighted norm of the initial
     datum; aborts with a diagnostic when mass reaches the Dirichlet wall.
+    Every CG solve is preconditioned by the free Crank-Nicolson operator,
+    inverted by a DST-I: exact without a field, where CG stops after one
+    iteration per step.
     """
     if u0.frame != "physical":
         raise ValueError("initial state must be in the physical frame")
@@ -238,7 +262,7 @@ def evolve_physical(field, u0, t_final, dt):
         return TrajectoryPoint(time=t, l2_norm=state.norm(), k_norm=None, boundary_mass=bm)
 
     points = _crank_nicolson(u0.values, u0.time, t_final - u0.time, dt, lambda _: matrix,
-                             record)
+                             record, precondition=_fast_diagonalization(grid, dt, False))
     points[0] = replace(points[0], k_norm=weighted_norm(u0))
     return NormTrajectory(frame="physical", points=points)
 
@@ -281,7 +305,7 @@ def evolve_selfsimilar(field, v0, s_final, ds):
                                boundary_mass=state.boundary_mass())
 
     points = _crank_nicolson(v0.values, v0.time, s_final - v0.time, ds, matrix_at, record,
-                             precondition=_fast_diagonalization(grid, ds))
+                             precondition=_fast_diagonalization(grid, ds, True))
     return NormTrajectory(frame="self-similar", points=points)
 
 

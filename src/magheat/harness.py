@@ -146,6 +146,15 @@ def _check_fit_window(name, window, span, step):
                           f">= {MIN_FIT_SAMPLES}")
 
 
+def _check_physical_width(name, width):
+    """Reject a physical Gaussian datum of width >= 2: its weighted norm
+    against e^{|x|^2/4} diverges, so it lies outside the space the theorem
+    and ``k_norm_initial`` assume.  (A self-similar representative's plain
+    norm is its weighted norm at any width.)"""
+    if not width < 2.0:
+        raise ConfigError(f"{name} of a physical run must lie in (0, 2), got {width!r}")
+
+
 def _hardy_n(r_dom, h):
     """Interior points per axis of the hardy grid of half-width r_dom and mesh width h."""
     return int(round(2.0 * r_dom / h)) - 1
@@ -221,9 +230,8 @@ class ExperimentConfig:
             unread = sorted(_EVOLVE_UNREAD[frame] & set(self.evolve))
             if unread:
                 raise ConfigError(f"evolve entries {unread} are not read by the {frame} frame")
-            if "oracle" in ev and not ev["width"] < 2.0:
-                raise ConfigError(f"the free-gaussian oracle needs a width in (0, 2), "
-                                  f"got {ev['width']!r}")
+            if frame == "physical":
+                _check_physical_width("evolve.width", ev["width"])
             span, step = ((ev["t_final"], ev["dt"]) if frame == "physical"
                           else (ev["s_final"], ev["ds"]))
             step_count(span, step)      # a ConfigError when not finite
@@ -232,6 +240,7 @@ class ExperimentConfig:
         _check_entries("report", self.report, _REPORT)
         if self.report is not None:
             report = ReportConfig(**self.report)
+            _check_physical_width("report.width", report.width)
             _check_fit_window("report.fit_window", report.fit_window,
                               report.t_final, report.dt)
             _check_fit_window("report.ss_fit_window", report.ss_fit_window,

@@ -141,10 +141,71 @@ def test_selfsimilar_preconditioned_step_matches_direct_solve(monkeypatch, step_
     eye = sp.identity(grid.size, format="csc")
     direct = spsolve((eye + 0.025 * L).tocsc(), (eye - 0.025 * L) @ v0.values)
     assert np.linalg.norm(call["out"] - direct) <= 1e-9 * np.linalg.norm(direct)
-    # the physical frame stays unpreconditioned
-    calls.clear()
-    _run("physical", step_half, 2)
-    assert len(calls) == 2 and all(c["M"] is None for c in calls)
+
+
+@pytest.mark.parametrize("harmonic", [True, False])
+@pytest.mark.parametrize("n", [16, 18])
+def test_fast_diagonalization_inverts_the_zero_field_operator(zero_field, rng, n, harmonic):
+    # n = 18: the DST-I of length n runs on an FFT of length 2 (n + 1) = 38,
+    # which has the prime factor 19
+    from magheat.evolve import _fast_diagonalization
+
+    grid, dt = mh.build_grid(4.0, n), 0.3
+    L = mh.assemble_magnetic(mh.peierls_phases(grid, zero_field), harmonic=harmonic).matrix
+    P = sp.identity(grid.size, format="csr") + (dt / 2.0) * L
+    apply = _fast_diagonalization(grid, dt, harmonic).matvec
+    re, im = rng.standard_normal((2, grid.size))
+    for r in (re, re + 1j * im):
+        out = apply(r)
+        assert out.dtype == r.dtype
+        assert np.linalg.norm(P @ out - r) <= 1e-12 * np.linalg.norm(r)
+
+
+def test_physical_preconditioner_exact_without_field(monkeypatch, zero_field):
+    # P is the free Crank-Nicolson operator itself: one iteration per step, in
+    # real arithmetic throughout
+    calls = _cg_calls(monkeypatch)
+    grid = mh.build_grid(12.0, 64)
+    mh.evolve_physical(zero_field, mh.gaussian_state(grid, 1.0), 1.0, 0.1)
+    assert [c["iters"] for c in calls] == [1] * 10
+    assert all(c["out"].dtype == np.float64 for c in calls)
+
+
+def test_physical_preconditioned_step_matches_direct_solve(monkeypatch, step_half):
+    from scipy.sparse.linalg import spsolve
+
+    calls = _cg_calls(monkeypatch)
+    grid = mh.build_grid(6.0, 64)
+    u0 = mh.gaussian_state(grid, 1.0)
+    mh.evolve_physical(step_half, u0, 0.1, 0.1)
+    (call,) = calls
+    assert call["M"] is not None
+    L = mh.assemble_magnetic(mh.peierls_phases(grid, step_half), harmonic=False).matrix
+    eye = sp.identity(grid.size, format="csc")
+    direct = spsolve((eye + 0.05 * L).tocsc(), (eye - 0.05 * L) @ u0.values)
+    assert np.linalg.norm(call["out"] - direct) <= 1e-9 * np.linalg.norm(direct)
+
+
+def test_evolve_physical_free_matches_dst_crank_nicolson(monkeypatch, zero_field):
+    # independent oracle: the free Dirichlet Laplacian is diagonal in the
+    # DST-I basis, with eigenvalues
+    # lam = (4 / h^2) (sin^2(pi k / 2(n+1)) + sin^2(pi l / 2(n+1))),
+    # so m Crank-Nicolson steps multiply mode (k, l) by ((1 - dt lam/2) / (1 + dt lam/2))^m
+    from scipy.fft import dstn
+
+    calls = _cg_calls(monkeypatch)
+    grid, dt, steps = mh.build_grid(12.0, 64), 0.1, 20
+    u0 = mh.gaussian_state(grid, 1.0)
+    traj = mh.evolve_physical(zero_field, u0, dt * steps, dt)
+    n, h = grid.n, grid.h
+    s2 = np.sin(np.pi * np.arange(1, n + 1) / (2 * (n + 1))) ** 2
+    lam = (4.0 / h**2) * (s2[:, None] + s2[None, :])
+    mult = (1.0 - dt / 2.0 * lam) / (1.0 + dt / 2.0 * lam)
+    modes = dstn(u0.values.real.reshape(n, n), type=1, norm="ortho")
+    exact = [h * np.linalg.norm(modes * mult**m) for m in range(steps + 1)]
+    assert np.allclose(traj.l2_norms, exact, rtol=1e-9, atol=0.0)
+    last = dstn(modes * mult**steps, type=1, norm="ortho").ravel()
+    assert np.linalg.norm(calls[-1]["out"] - last) <= 1e-9 * np.linalg.norm(last)
 
 
 def test_generator_rebuilt_only_when_it_changes(monkeypatch, zero_field, step_half):

@@ -282,6 +282,11 @@ MALFORMED = {
                            "grid": {"r_dom": 16.0, "n": 63},
                            "evolve": {"frame": "physical", "t_final": 1.0, "width": 2.5,
                                       "oracle": "free-gaussian"}},
+    # physical Gaussian data of width >= 2 lie outside the weighted space
+    "evolve-physical-wide": {"kind": "evolve", "field": mh.harness.ZERO_FIELD,
+                             "grid": {"r_dom": 16.0, "n": 63},
+                             "evolve": {"frame": "physical", "t_final": 1.0, "width": 2.5}},
+    "report-width-wide": {"kind": "decay-report", "field": _STEP, "report": {"width": 2.0}},
     # fit windows holding fewer than the 10 samples a rate fit needs
     "evolve-fit-window-narrow": {"kind": "evolve", "field": _STEP,
                                  "grid": {"r_dom": 16.0, "n": 63},
@@ -321,6 +326,15 @@ def test_cli_malformed_config_exit_code(tmp_path, name):
     assert not (tmp_path / "bad").exists()
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(config)
+
+
+def test_selfsimilar_width_is_free():
+    # the representative's plain norm is its weighted norm at any width, so
+    # only the physical frame bounds the width
+    ExperimentConfig.from_dict({"kind": "evolve", "label": "wide",
+                                "field": mh.harness.ZERO_FIELD, "grid": _GRID,
+                                "evolve": {"frame": "self-similar", "s_final": 1.0,
+                                           "width": 2.5}})
 
 
 def test_fit_window_sample_count_matches_the_fit(tmp_path):
