@@ -18,7 +18,7 @@ from .discretize import build_grid
 from .evolve import (energy_bound_check, evolve_physical, evolve_selfsimilar,
                      gaussian_state)
 from .field import beta_of, total_flux
-from .spectral import dense_s_grid, lambda_curve, lambda_limit_estimate
+from .spectral import dense_s_grid, infimum_gap, lambda_curve, lambda_limit_estimate
 
 INITIAL_DATA = ("gaussian", "shifted", "odd")   # names _initial_state knows
 MIN_FIT_SAMPLES = 10                             # samples a rate fit needs in its window
@@ -149,7 +149,7 @@ def theorem_report(field, config=None):
     samples = [curve[float(s)] for s in cfg.s_values]
     lam_extrap = lambda_limit_estimate(samples)
     lam_raw = samples[-1].lam
-    c_b = max(0.0, min(curve[s].lam for s in dense) - 0.5)   # c_b_estimate on one curve
+    c_b = infimum_gap(curve[s] for s in dense)
 
     grid_ph = build_grid(cfg.phys_r_dom, cfg.phys_n)
     gamma_fits = {}

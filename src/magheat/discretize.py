@@ -162,7 +162,7 @@ class DiscreteOperator:
         return self.matrix @ v
 
     def shifted(self, sigma):
-        """Operator plus sigma * identity (used by shift-invariance tests)."""
+        """Operator plus sigma * identity; ``smallest_eigs`` factors its shift with it."""
         mat = (self.matrix + sigma * sp.identity(self.dimension, dtype=self.matrix.dtype)).tocsr()
         return DiscreteOperator(grid=self.grid, matrix=mat)
 

@@ -18,6 +18,7 @@ from .errors import SolverConvergenceError
 from .field import alpha_batch, alpha_infinity, beta_of
 
 DIAMAGNETIC_SLACK = 1e-9    # floor tolerance of the discrete diamagnetic bound
+SHIFT_BELOW_FLOOR = 0.05    # lambda_curve's shift-invert shift sits this far below the floor
 DEGENERACY_FLUX_TOL = 1e-6  # half-integer detection for block solves
 C_B_SPACING = 0.5           # widest s step the infimum gap samples
 
@@ -64,13 +65,17 @@ def _factor(matrix):
     return splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
-def smallest_eigs(op, k, tol=1e-8, seed=0):
+def smallest_eigs(op, k, tol=1e-8, seed=0, sigma=0.0):
     """k smallest eigenpairs of a Hermitian positive definite operator.
 
     ARPACK's implicitly restarted Lanczos iteration in shift-invert mode
-    about 0, each step one solve with the sparse LU of the operator (see
-    ``_factor``), started from a seeded random vector.  Every residual
-    ``|L v - lam v| / |v|`` is checked against ``tol`` explicitly.  Returns
+    about ``sigma``, each step one solve with the sparse LU of
+    ``L - sigma I`` (see ``_factor``), started from a seeded random vector.
+    ``sigma`` must lie below the spectrum, so that the eigenvalues nearest
+    it are the smallest; a shift just below the lowest eigenvalue makes the
+    wanted ones dominate the inverse and spares ARPACK its restarts.  Every
+    residual ``|L v - lam v| / |v|`` of the unshifted operator is checked
+    against ``tol`` explicitly.  Returns
     ``(pairs, worst_residual, solve_count)`` where ``pairs`` lists
     (eigenvalue, eigenvector) ascending, each eigenvector's largest-modulus
     component rotated to the positive real axis, and ``solve_count`` is the
@@ -83,7 +88,9 @@ def smallest_eigs(op, k, tol=1e-8, seed=0):
         raise ValueError(f"k = {k} must be smaller than the dimension {dim}")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    lu = _factor(op.matrix)
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
+    lu = _factor(op.shifted(-sigma).matrix)
     counting = _CountingSolve(lu.solve)
     opinv = LinearOperator(op.matrix.shape, matvec=counting, dtype=op.matrix.dtype)
     rng = np.random.default_rng(seed)
@@ -92,7 +99,7 @@ def smallest_eigs(op, k, tol=1e-8, seed=0):
         v0 = v0 + 1j * rng.standard_normal(dim)
     ncv = min(dim - 1, max(2 * k + 1, 24))
     try:
-        vals, vecs = eigsh(op.matrix, k=k, sigma=0.0, which="LM", OPinv=opinv,
+        vals, vecs = eigsh(op.matrix, k=k, sigma=sigma, which="LM", OPinv=opinv,
                            v0=v0, ncv=ncv, maxiter=400, tol=0.0)
     except Exception as exc:
         raise SolverConvergenceError(f"shift-inverted eigensolve failed: {exc}") from exc
@@ -129,7 +136,8 @@ def lambda_curve(field, s_values, grid, tol=1e-8, seed=0):
     """Lowest eigenvalue of the rescaled confined operator at each s.
 
     Every sample is checked against the discrete diamagnetic floor: the
-    same-grid zero-field eigenvalue minus a round-off slack.
+    same-grid zero-field eigenvalue minus a round-off slack.  The floor
+    also places the shift-invert shift ``SHIFT_BELOW_FLOOR`` beneath it.
     """
     s_values = [float(s) for s in s_values]
     if any(s < 0 for s in s_values):
@@ -141,7 +149,8 @@ def lambda_curve(field, s_values, grid, tol=1e-8, seed=0):
     samples = []
     for s in s_values:
         op = assemble_magnetic(peierls_phases(grid, field, s=s), harmonic=True)
-        pairs, residual, iterations = smallest_eigs(op, k=k, tol=tol, seed=seed)
+        pairs, residual, iterations = smallest_eigs(
+            op, k=k, tol=tol, seed=seed, sigma=lam_floor - SHIFT_BELOW_FLOOR)
         lam = pairs[0][0]
         if lam < lam_floor - DIAMAGNETIC_SLACK:
             raise SolverConvergenceError(
@@ -274,5 +283,9 @@ def c_b_estimate(field, s_grid, grid, seed=0):
     spacing = max(b - a for a, b in zip(s_grid, s_grid[1:]))
     if spacing > C_B_SPACING + 1e-12:
         raise ValueError(f"s_grid spacing {spacing} exceeds {C_B_SPACING}")
-    samples = lambda_curve(field, s_grid, grid, seed=seed)
+    return infimum_gap(lambda_curve(field, s_grid, grid, seed=seed))
+
+
+def infimum_gap(samples):
+    """Gap min lambda - 1/2 over the ``SpectralSample``s, floored at 0."""
     return max(0.0, min(smp.lam for smp in samples) - 0.5)

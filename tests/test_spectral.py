@@ -39,6 +39,36 @@ def test_smallest_eigs_validation(zero_field):
         mh.smallest_eigs(op, k=op.dimension)
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+def test_smallest_eigs_rejects_non_finite_shift(zero_field, sigma):
+    grid = mh.build_grid(8.0, 24)
+    op = mh.assemble_magnetic(mh.peierls_phases(grid, zero_field), harmonic=True)
+    with pytest.raises(ValueError, match="sigma"):
+        mh.smallest_eigs(op, k=1, sigma=sigma)
+
+
+@pytest.mark.parametrize("s", [0.0, 2.0])
+def test_smallest_eigs_floor_shift_matches_zero_shift(step_half, s):
+    # lambda_curve's shift just below the diamagnetic floor finds the same
+    # eigenvalues as the shift about 0
+    grid = mh.build_grid(5.0, 128)   # resolution cap s_max = 2.34
+    op = mh.assemble_magnetic(mh.peierls_phases(grid, step_half, s=s), harmonic=True)
+    sigma = mh.spectral._diamagnetic_floor(grid) - mh.spectral.SHIFT_BELOW_FLOOR
+    base = [p[0] for p in mh.smallest_eigs(op, k=2)[0]]
+    shifted = [p[0] for p in mh.smallest_eigs(op, k=2, sigma=sigma)[0]]
+    assert np.allclose(shifted, base, rtol=0.0, atol=1e-12)
+
+
+def test_lambda_curve_floor_shift_needs_one_lanczos_pass():
+    # lambda-halfflux's field and grid at s = 2: about 0, seeds 1 and 2 took a
+    # second Lanczos pass (46 LU solves); below the floor every seed takes one
+    field = mh.make_field("radial-step", {"b0": 2 * 0.5 / 9.0, "r": 3.0})
+    grid = mh.build_grid(7.0, 128)
+    for seed in range(4):
+        (sample,) = mh.lambda_curve(field, [2.0], grid, seed=seed)
+        assert sample.iterations <= 25, (seed, sample.iterations)
+
+
 def test_radial_low_flux_level():
     op = mh.assemble_radial(0, 0.3, 20.0, 4000)
     assert op.lowest(k=1)[0] == pytest.approx(0.65, abs=1e-4)
