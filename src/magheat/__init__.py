@@ -16,15 +16,11 @@ from .field import (MagneticField, alpha_infinity, beta_of, make_field, total_fl
 from .discretize import (DiscreteOperator, Grid2D, LinkPhases, RadialOperator,
                          assemble_magnetic, assemble_radial,
                          assemble_radial_channel, build_grid, peierls_phases)
-from .exact import (ABSpectrum, AngularMode, ab_eigenfunction,
-                    ab_eigenfunction_norm, ab_spectrum, angular_mode,
-                    free_gaussian_norm, free_heat_kernel, laguerre)
-from .spectral import (HardyEstimate, SpectralSample, c_b_estimate,
-                       hardy_constant, lambda_curve, lambda_limit_estimate,
-                       smallest_eigs, variational_upper_bound)
+from .exact import ABSpectrum, ab_spectrum, free_gaussian_norm, laguerre
+from .spectral import (HardyEstimate, SpectralSample, hardy_constant, lambda_curve,
+                       lambda_limit_estimate, smallest_eigs, variational_upper_bound)
 from .evolve import (NormTrajectory, StateVector, cn_step, evolve_physical,
-                     evolve_selfsimilar, frame_map, gaussian_state,
-                     physical_domain_radius, weighted_norm)
+                     evolve_selfsimilar, gaussian_state, weighted_norm)
 from .decay import (DecayFit, ReportConfig, fit_exponential_rate,
                     fit_polynomial_rate, theorem_report)
 from .harness import (ExperimentConfig, RunRecord, compare, preset_suite, run,

@@ -257,23 +257,10 @@ class RadialOperator:
         out[1:] += self.sym_off * w[:-1]
         return out / sq
 
-    def lowest(self, k=1, eigenvectors=False):
-        """The k smallest eigenpairs; vectors are unit in the weighted norm."""
-        if not eigenvectors:
-            vals = eigh_tridiagonal(self.sym_diag, self.sym_off, select="i",
-                                    select_range=(0, k - 1), eigvals_only=True)
-            return np.asarray(vals)
-        vals, vecs = eigh_tridiagonal(self.sym_diag, self.sym_off, select="i",
-                                      select_range=(0, k - 1))
-        sq = np.sqrt(self.r)
-        outv = []
-        for j in range(vals.size):
-            u = vecs[:, j] / sq
-            u = u / math.sqrt(float(np.sum(np.abs(u) ** 2 * self.weights)))
-            if u[np.argmax(np.abs(u))] < 0:
-                u = -u
-            outv.append(u)
-        return np.asarray(vals), outv
+    def lowest(self, k=1):
+        """The k smallest eigenvalues."""
+        return np.asarray(eigh_tridiagonal(self.sym_diag, self.sym_off, select="i",
+                                           select_range=(0, k - 1), eigvals_only=True))
 
 
 def _radial_from_potential(m, flux, r_max, m_points, potential, r, dr):

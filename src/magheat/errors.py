@@ -25,9 +25,5 @@ class BoundaryContaminationError(MagheatError, RuntimeError):
     """Evolved solution reached the truncated domain boundary."""
 
 
-class FrameMapError(MagheatError, ValueError):
-    """Change of space-time frame would push the state off the target grid."""
-
-
 class ConfigError(MagheatError, ValueError):
     """Experiment configuration failed validation."""

@@ -19,14 +19,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 from scipy.fft import dstn
-from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.linalg import LinearOperator, cg
 from scipy.special import logsumexp
 
 from .discretize import (Grid2D, assemble_magnetic, check_s_cap, harmonic_axis_eigh,
                          peierls_phases)
-from .errors import (BoundaryContaminationError, ConfigError, FrameMapError,
-                     SolverConvergenceError)
+from .errors import BoundaryContaminationError, ConfigError, SolverConvergenceError
 
 CG_RTOL = 1e-10
 BOUNDARY_MASS_TOL = 1e-8
@@ -83,18 +81,6 @@ class NormTrajectory:
     @property
     def k_norms(self):
         return np.array([math.nan if p.k_norm is None else p.k_norm for p in self.points])
-
-
-def physical_domain_radius(t_final, width, support_radius=0.0):
-    """Domain half-width keeping Gaussian-data boundary mass below tolerance.
-
-    The evolved Gaussian has variance width^2 + 2t, so the mass beyond radius
-    R decays like exp(-R^2 / (width^2 + 2t)); the field support is added on
-    top.  (A bare multiple of sqrt(t) under-sizes the domain for tight
-    boundary tolerances.)
-    """
-    spread = math.sqrt((width**2 + 2.0 * t_final) * math.log(1.0 / BOUNDARY_MASS_TOL))
-    return spread + support_radius
 
 
 def gaussian_state(grid, width=1.0, center=(0.0, 0.0), frame="physical", time=0.0,
@@ -307,50 +293,6 @@ def evolve_selfsimilar(field, v0, s_final, ds):
     points = _crank_nicolson(v0.values, v0.time, s_final - v0.time, ds, matrix_at, record,
                              precondition=_fast_diagonalization(grid, ds, True))
     return NormTrajectory(frame="self-similar", points=points)
-
-
-def frame_map(state, direction, target_grid=None):
-    """Change of space-time frame by bilinear interpolation.
-
-    ``to-self-similar`` sends u(. , t) to e^{s/2} u(e^{s/2} y, t) with
-    s = log(1 + t); ``to-physical`` inverts it.  Raises when the rescaling
-    would push visible mass off the source grid.
-    """
-    if direction not in ("to-self-similar", "to-physical"):
-        raise ValueError(f"unknown direction {direction!r}")
-    grid = state.grid
-    target = target_grid if target_grid is not None else grid
-    if direction == "to-self-similar":
-        if state.frame != "physical":
-            raise ValueError("state must be physical")
-        s = math.log(1.0 + state.time)
-        scale = math.exp(s / 2.0)
-        new_time, new_frame, amp = s, "self-similar", scale
-    else:
-        if state.frame != "self-similar":
-            raise ValueError("state must be self-similar")
-        t = math.exp(state.time) - 1.0
-        scale = math.exp(-state.time / 2.0)
-        new_time, new_frame, amp = t, "physical", scale
-    reach = scale * target.r_dom
-    if reach < grid.r_dom:
-        n = grid.n
-        v2 = np.abs(state.values.reshape(n, n)) ** 2
-        X, Y = grid.mesh()
-        outside = (np.maximum(np.abs(X), np.abs(Y)) > reach).ravel()
-        lost = float(v2.ravel()[outside].sum() / max(v2.sum(), 1e-300))
-        if lost > 1e-8:
-            raise FrameMapError(
-                f"change of frame loses {lost:.2e} of the mass off-grid")
-    axis = grid.axis()
-    interp = RegularGridInterpolator((axis, axis),
-                                     state.values.reshape(grid.n, grid.n),
-                                     bounds_error=False, fill_value=0.0)
-    TX, TY = target.mesh()
-    pts = np.stack([scale * TX.ravel(), scale * TY.ravel()], axis=-1)
-    vals = amp * interp(pts)
-    return StateVector(grid=target, values=vals.astype(complex), time=new_time,
-                       frame=new_frame)
 
 
 def energy_bound_check(trajectory, lambda_samples, slack=1e-3):

@@ -1,6 +1,5 @@
 """Closed-form oracles: Laguerre polynomials, the exact Aharonov-Bohm
-harmonic spectrum and eigenfunctions, the angular mode basis, the free heat
-kernel and exact zero-field Gaussian evolution."""
+harmonic spectrum and the exact norm of a freely evolved Gaussian."""
 
 from __future__ import annotations
 
@@ -8,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 
 def laguerre(n, mu, x):
@@ -85,72 +83,6 @@ def ab_spectrum(flux, count):
         mult = sum(1 for v, _, _ in entries if abs(v - value) <= 1e-9)
         levels.append(ABLevel(value=value, n=n, m=m, multiplicity=mult))
     return ABSpectrum(flux=flux, levels=tuple(levels))
-
-
-@dataclass(frozen=True)
-class AngularMode:
-    """Eigenfunction of K = i d/dtheta + alpha_inf on the circle, eigenvalue m + flux."""
-
-    m: int
-    flux: float
-    alpha_inf: object = None       # vectorized theta -> alpha_inf(theta); None = constant flux
-
-    def _alpha_cumulative(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if self.alpha_inf is None:
-            return self.flux * theta
-        nodes, weights = np.polynomial.legendre.leggauss(48)
-        flat = np.atleast_1d(theta).ravel()
-        tau = 0.5 * (nodes + 1.0)[None, :] * flat[:, None]
-        vals = np.asarray(self.alpha_inf(tau), dtype=float)
-        out = 0.5 * flat * (vals @ weights)
-        return out.reshape(theta.shape) if theta.shape else float(out[0])
-
-    def eval(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        phase = (self.m + self.flux) * theta - self._alpha_cumulative(theta)
-        return np.exp(-1j * phase) / math.sqrt(2.0 * math.pi)
-
-    @property
-    def eigenvalue(self):
-        return self.m + self.flux
-
-
-def angular_mode(m, flux, alpha_inf=None):
-    return AngularMode(m=int(m), flux=float(flux), alpha_inf=alpha_inf)
-
-
-def ab_eigenfunction(n, m, flux, r, theta):
-    """Unnormalized eigenfunction r^mu e^{-r^2/8} L_n^mu(r^2/4) phi_m(theta), mu = |m+flux|.
-
-    For rotationally symmetric fields the angular factor reduces to the pure
-    phase e^{-i m theta} / sqrt(2 pi).
-    """
-    r = np.asarray(r, dtype=float)
-    mu = abs(m + flux)
-    radial = r**mu * np.exp(-(r**2) / 8.0) * laguerre(n, mu, r**2 / 4.0)
-    return radial * AngularMode(m, flux).eval(theta)
-
-
-def ab_eigenfunction_norm(n, m, flux, r_max=40.0):
-    """L2 norm of the unnormalized eigenfunction, by radial quadrature."""
-    mu = abs(m + flux)
-
-    def integrand(r):
-        return (r**mu * math.exp(-r * r / 8.0) * float(laguerre(n, mu, r * r / 4.0))) ** 2 * r
-
-    val, _ = quad(integrand, 0.0, r_max, epsabs=1e-13, epsrel=1e-12, limit=300)
-    return math.sqrt(val)
-
-
-def free_heat_kernel(x, xp, t):
-    """Free heat kernel (4 pi t)^{-1} exp(-|x - x'|^2 / (4 t)) in the plane."""
-    if t <= 0.0:
-        raise ValueError(f"time must be positive, got {t}")
-    x = np.asarray(x, dtype=float)
-    xp = np.asarray(xp, dtype=float)
-    d2 = np.sum((x - xp) ** 2, axis=-1)
-    return np.exp(-d2 / (4.0 * t)) / (4.0 * math.pi * t)
 
 
 def free_gaussian_norm(t, width):

@@ -794,6 +794,8 @@ def compare(summary_a, summary_b, rtol=1e-9, atol=1e-12):
     A key present on one side only is a diff, reported as ``"<missing>"``;
     equal values agree whatever their type, ``None`` included.
     """
+    if not (math.isfinite(rtol) and rtol >= 0.0):
+        raise ConfigError(f"rtol must be finite and >= 0, got {rtol}")
     if summary_a.get("kind") != summary_b.get("kind"):
         raise ConfigError(
             f"cannot compare kinds {summary_a.get('kind')!r} and {summary_b.get('kind')!r}")

@@ -275,17 +275,6 @@ def dense_s_grid(s_values):
     return list(np.linspace(lo, hi, count))
 
 
-def c_b_estimate(field, s_grid, grid, seed=0):
-    """Infimum gap inf_s lambda(s) - 1/2 over the sampled grid, floored at 0."""
-    s_grid = sorted(float(s) for s in s_grid)
-    if len(s_grid) < 2:
-        raise ValueError("s_grid needs at least two points")
-    spacing = max(b - a for a, b in zip(s_grid, s_grid[1:]))
-    if spacing > C_B_SPACING + 1e-12:
-        raise ValueError(f"s_grid spacing {spacing} exceeds {C_B_SPACING}")
-    return infimum_gap(lambda_curve(field, s_grid, grid, seed=seed))
-
-
 def infimum_gap(samples):
     """Gap min lambda - 1/2 over the ``SpectralSample``s, floored at 0."""
     return max(0.0, min(smp.lam for smp in samples) - 0.5)

@@ -1,0 +1,45 @@
+import ast
+from pathlib import Path
+
+import magheat
+
+PACKAGE = Path(magheat.__file__).parent
+
+# exported names that no run calls but tests use as independent oracles
+ORACLES = {
+    "variational_upper_bound": "upper bound on lambda in test_variational_bound_dominates_lambda",
+    "assemble_radial_channel": "1-D channel reference in test_radial_two_dim_consistency",
+    "cn_step": "scalar Pade and random-PSD contraction checks of the Crank-Nicolson driver",
+}
+
+
+def _exports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {alias.asname or alias.name
+            for node in tree.body if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+
+
+def _used_names():
+    """Names and attributes read anywhere in the package outside ``__init__``.
+
+    A ``def``/``class`` statement binds its name without reading it, so a
+    name counts only where some code refers to it."""
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_every_export_has_a_caller_in_the_package():
+    uncalled = _exports() - _used_names()
+    assert uncalled == set(ORACLES), (
+        "exported names without a caller in the package: "
+        f"{sorted(uncalled - set(ORACLES))}; oracles that gained one: "
+        f"{sorted(set(ORACLES) - uncalled)}")

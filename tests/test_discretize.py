@@ -223,13 +223,6 @@ def test_radial_weighted_symmetry_and_potential(rng):
     assert np.all(op.potential >= op.r**2 / 16.0 - 1e-12)
 
 
-def test_radial_eigenvector_normalization():
-    op = mh.assemble_radial(0, 0.5, 20.0, 1000)
-    vals, vecs = op.lowest(k=2, eigenvectors=True)
-    for u in vecs:
-        assert np.sum(np.abs(u) ** 2 * op.weights) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_radial_channel_surrogate_matches_ab_limit(step_half):
     # as s grows the finite-size channel approaches the singular-flux level
     from magheat.discretize import assemble_radial_channel

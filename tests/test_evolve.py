@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 import magheat as mh
 from magheat.discretize import DiscreteOperator
-from magheat.errors import BoundaryContaminationError, FrameMapError, ResolutionCapError
+from magheat.errors import BoundaryContaminationError, ResolutionCapError
 from magheat.evolve import energy_bound_check
 
 
@@ -227,18 +227,6 @@ def test_infinite_step_count_rejected(zero_field):
                               1e308, 0.05)
 
 
-def test_frame_map_explicit_target_grid():
-    src = mh.build_grid(12.0, 160)
-    dst = mh.build_grid(6.0, 96)
-    u = mh.gaussian_state(src, 1.0)
-    u.time = 2.0
-    ss = mh.frame_map(u, "to-self-similar", target_grid=dst)
-    assert ss.grid == dst
-    # the coarser target resamples the state, so the norm identity holds at
-    # the coarser grid's interpolation error, not the matched-grid 1e-3
-    assert abs(ss.norm() - u.norm()) / u.norm() < 5e-3
-
-
 def test_cn_ground_state_decay_order(zero_field):
     # one unit of time at two step sizes: second-order approach to e^{-lam}
     grid = mh.build_grid(8.0, 64)
@@ -323,35 +311,6 @@ def test_energy_bound_along_run(step_half):
     assert ok, f"energy bound violated by {margin}"
 
 
-def test_frame_map_identity_at_zero(zero_field):
-    grid = mh.build_grid(8.0, 64)
-    u = mh.gaussian_state(grid, 1.2)
-    ss = mh.frame_map(u, "to-self-similar")
-    assert ss.time == 0.0
-    assert np.allclose(ss.values, u.values, atol=1e-13)
-
-
-def test_frame_map_norm_preserved_and_roundtrip(zero_field):
-    grid = mh.build_grid(12.0, 192)
-    u = mh.gaussian_state(grid, 1.2)
-    u.time = 1.7  # generic time: scale factor incommensurate with the grid
-    ss = mh.frame_map(u, "to-self-similar")
-    assert ss.time == pytest.approx(math.log(2.7))
-    assert abs(ss.norm() - u.norm()) / u.norm() < 1e-3
-    back = mh.frame_map(ss, "to-physical")
-    assert back.time == pytest.approx(1.7)
-    assert np.max(np.abs(back.values - u.values)) < 5e-3
-
-
-def test_frame_map_off_grid_error():
-    grid = mh.build_grid(6.0, 64)
-    u = mh.gaussian_state(grid, 2.0, normalized=False)
-    u.frame = "self-similar"
-    u.time = 4.0  # e^{s} - 1 blows the support past the physical grid
-    with pytest.raises(FrameMapError):
-        mh.frame_map(u, "to-physical")
-
-
 def test_weighted_norm_cases(zero_field):
     grid = mh.build_grid(18.0, 256)
     X, Y = grid.mesh()
@@ -364,16 +323,6 @@ def test_weighted_norm_cases(zero_field):
                        time=0.0, frame="physical")
     assert mh.weighted_norm(v) == pytest.approx(v.norm(), rel=5e-3)
     assert mh.weighted_norm(u) >= u.norm()
-
-
-def test_physical_domain_radius_rule():
-    from magheat.evolve import physical_domain_radius
-
-    r = physical_domain_radius(50.0, 1.5, support_radius=1.0)
-    assert 40.0 < r < 50.0
-    # the returned radius indeed keeps the evolved Gaussian tail below tol
-    var = 1.5**2 + 2 * 50.0
-    assert math.exp(-((r - 1.0) ** 2) / var) <= 1e-8 * 1.0001
 
 
 def test_weighted_norm_boundary_warning():

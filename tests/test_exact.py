@@ -69,14 +69,6 @@ def test_ab_spectrum_lowest_identity():
         assert mh.ab_spectrum(flux, 1).levels[0].value == round((1 + beta) / 2, 12)
 
 
-def test_ab_eigenfunction_origin_and_gaussian():
-    assert mh.ab_eigenfunction(0, 0, 0.5, 0.0, 0.0) == 0.0
-    r = np.linspace(0.2, 3.0, 7)
-    vals = mh.ab_eigenfunction(0, 0, 0.0, r, 0.0) * math.sqrt(2 * math.pi)
-    assert np.allclose(vals.real, np.exp(-r**2 / 8), atol=1e-12)
-    assert np.allclose(vals.imag, 0.0, atol=1e-12)
-
-
 @pytest.mark.parametrize("n,m,flux", [(0, 0, 0.5), (1, 0, 0.3), (0, -1, 0.5),
                                       (2, 1, 1.3), (0, 0, 0.0)])
 def test_ab_eigenfunction_radial_ode_residual(n, m, flux):
@@ -99,64 +91,6 @@ def test_ab_eigenfunction_radial_ode_residual(n, m, flux):
     residual = -d2 - d1 / r + (mu**2 / r**2 + r**2 / 16) * u - energy * u
     scale = np.max(np.abs(u))
     assert np.max(np.abs(residual)) < 1e-6 * scale
-
-
-def test_angular_modes_orthonormal_and_periodic():
-    f = mh.make_field("offset-bump", {"b0": 1.0, "r": 1.0, "center": [0.7, 0.3]})
-    flux = mh.total_flux(f)
-    a_inf = lambda th: mh.alpha_infinity(f, th)
-    modes = [mh.angular_mode(m, flux, a_inf) for m in (-1, 0, 2)]
-    theta = np.linspace(0, 2 * np.pi, 2048, endpoint=False)
-    for i, mi in enumerate(modes):
-        vi = mi.eval(theta)
-        assert abs(mi.eval(0.0) - mi.eval(2 * np.pi - 1e-12)) < 1e-9
-        for j, mj in enumerate(modes):
-            inner = np.mean(np.conj(vi) * mj.eval(theta)) * 2 * np.pi
-            assert abs(inner - (1.0 if i == j else 0.0)) < 1e-10
-
-
-def test_angular_mode_k_eigenvalue():
-    f = mh.make_field("offset-bump", {"b0": 1.0, "r": 1.0, "center": [0.7, 0.3]})
-    flux = mh.total_flux(f)
-    a_inf = lambda th: mh.alpha_infinity(f, th)
-    mode = mh.angular_mode(2, flux, a_inf)
-    theta = np.linspace(0.3, 5.0, 11)
-    h = 1e-5
-    dphi = (mode.eval(theta + h) - mode.eval(theta - h)) / (2 * h)
-    k_apply = 1j * dphi + a_inf(theta) * mode.eval(theta)
-    assert np.max(np.abs(k_apply - mode.eigenvalue * mode.eval(theta))) < 1e-7
-
-
-def test_ab_eigenfunction_norm_on_demand():
-    # ground state at zero flux: integral of e^{-r^2/4} r dr = 2
-    assert mh.ab_eigenfunction_norm(0, 0, 0.0) == pytest.approx(math.sqrt(2), rel=1e-10)
-
-
-def test_heat_kernel_values_and_normalization():
-    assert mh.free_heat_kernel((1.0, 2.0), (1.0, 2.0), 0.5) == pytest.approx(
-        1 / (2 * math.pi), rel=1e-14)
-    with pytest.raises(ValueError):
-        mh.free_heat_kernel((0, 0), (0, 0), 0.0)
-    # normalization over the plane by polar quadrature
-    val, _ = quad(lambda r: float(mh.free_heat_kernel((0.0, 0.0), (r, 0.0), 0.7))
-                  * 2 * math.pi * r, 0, 40, epsabs=1e-12)
-    assert abs(val - 1.0) < 1e-9
-
-
-def test_heat_kernel_semigroup_property():
-    # Gaussian convolution: tensor Gauss-Legendre over a covering box
-    t1, t2 = 0.4, 0.9
-    x = np.array([0.4, -0.2])
-    xp = np.array([-0.5, 0.3])
-    nodes, weights = np.polynomial.legendre.leggauss(80)
-    half = 12.0
-    z = half * nodes
-    w = half * weights
-    Z1, Z2 = np.meshgrid(z, z, indexing="ij")
-    pts = np.stack([Z1.ravel(), Z2.ravel()], axis=-1)
-    vals = mh.free_heat_kernel(x, pts, t1) * mh.free_heat_kernel(pts, xp, t2)
-    integral = float(w @ vals.reshape(80, 80) @ w)
-    assert abs(integral - mh.free_heat_kernel(x, xp, t1 + t2)) < 1e-8
 
 
 def test_free_gaussian_norm_properties():

@@ -227,6 +227,18 @@ def test_cli_compare(tmp_path):
     assert main(["compare", rec1.outputs[0], rec3.outputs[0]]) == 1
 
 
+@pytest.mark.parametrize("rtol", ["nan", "inf", "-1"])
+def test_cli_compare_rejects_bad_rtol(tmp_path, rtol):
+    # distinct summaries, so a tolerance that swallows every diff would show
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text('{"kind": "k", "x": 1.0}')
+    b.write_text('{"kind": "k", "x": 2.0}')
+    from magheat.cli import main
+
+    assert main(["compare", str(a), str(b), "--rtol", rtol]) == 2
+    assert main(["compare", str(a), str(a), "--rtol", rtol]) == 2
+
+
 _STEP = {"kind": "radial-step", "params": {"b0": 1.0, "r": 1.0}}
 _GRID = {"r_dom": 7.0, "n": 32}
 MALFORMED = {

@@ -5,6 +5,7 @@ import pytest
 
 import magheat as mh
 from magheat.errors import ResolutionCapError
+from magheat.spectral import infimum_gap
 
 
 def test_smallest_eigs_lho_cluster(zero_field):
@@ -242,32 +243,26 @@ def test_hardy_ab_radial_comparison():
         assert worst >= beta**2 * (1 - 1e-6)
 
 
-def test_c_b_estimate_zero_field(zero_field):
+def test_infimum_gap_zero_field(zero_field):
     grid = mh.build_grid(10.0, 80)
-    assert mh.c_b_estimate(zero_field, [0.0, 0.5, 1.0], grid) == pytest.approx(0.0, abs=2e-3)
+    gap = infimum_gap(mh.lambda_curve(zero_field, [0.0, 0.5, 1.0], grid))
+    assert gap == pytest.approx(0.0, abs=2e-3)
 
 
-def test_c_b_estimate_spacing_validation(zero_field):
-    grid = mh.build_grid(10.0, 80)
-    with pytest.raises(ValueError):
-        mh.c_b_estimate(zero_field, [0.0, 1.0], grid)
-
-
-def test_c_b_estimate_half_flux_positive(step_half):
+def test_infimum_gap_half_flux_positive(step_half):
     grid = mh.build_grid(10.0, 128)
     cap = grid.s_max(step_half.support_radius)
     s_grid = list(np.arange(0.0, cap, 0.5))
-    c_b = mh.c_b_estimate(step_half, s_grid, grid)
-    assert c_b > 0.01
+    assert infimum_gap(mh.lambda_curve(step_half, s_grid, grid)) > 0.01
 
 
-def test_c_b_estimate_integer_flux_vanishes():
+def test_infimum_gap_integer_flux_vanishes():
     # a wide weak unit-flux bump: the sampled infimum gap sits at zero
     field = mh.make_field("scaled-to-flux", {"target": 1.0, "r": 100.0})
     grid = mh.build_grid(12.0, 96)
     s_grid = list(np.arange(0.0, 4.01, 0.5))
-    c_b = mh.c_b_estimate(field, s_grid, grid)
-    assert c_b == pytest.approx(0.0, abs=2e-3)
+    gap = infimum_gap(mh.lambda_curve(field, s_grid, grid))
+    assert gap == pytest.approx(0.0, abs=2e-3)
 
 
 def test_lambda_limit_flux_periodicity():
