@@ -24,7 +24,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ResolutionCapError
-from .field import is_finite_real, vector_potential
+from .field import _transverse_components, is_finite_real
 
 # 3-point Gauss-Legendre on [0, 1]
 _GL3_NODES = np.array([0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)])
@@ -132,18 +132,16 @@ def peierls_phases(grid, field, s=None):
     (s is None) or of its rescaling A_s.
 
     Each edge integral uses 3-point Gauss quadrature of A . dl along the
-    straight edge.
+    straight edge: of A_x on the ``qh`` edges, of A_y on the ``qv`` edges.
     """
     n, h = grid.n, grid.h
     X, Y = grid.mesh()
-    qh = np.zeros((n - 1, n))
+    qh, qv = np.zeros((n - 1, n)), np.zeros((n, n - 1))
     for gx, gw in zip(_GL3_NODES, _GL3_WEIGHTS):
-        pts = np.stack([X[:-1, :] + gx * h, Y[:-1, :]], axis=-1)
-        qh += gw * vector_potential(field, pts, s)[..., 0] * h
-    qv = np.zeros((n, n - 1))
-    for gx, gw in zip(_GL3_NODES, _GL3_WEIGHTS):
-        pts = np.stack([X[:, :-1], Y[:, :-1] + gx * h], axis=-1)
-        qv += gw * vector_potential(field, pts, s)[..., 1] * h
+        (a_x,) = _transverse_components(field, X[:-1, :] + gx * h, Y[:-1, :], s, (0,))
+        qh += gw * a_x * h
+        (a_y,) = _transverse_components(field, X[:, :-1], Y[:, :-1] + gx * h, s, (1,))
+        qv += gw * a_y * h
     return LinkPhases(grid=grid, qh=qh, qv=qv)
 
 

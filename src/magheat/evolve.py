@@ -4,7 +4,8 @@ The physical frame evolves the autonomous magnetic heat equation; the
 self-similar frame evolves the non-autonomous confined equation whose
 generator is refreshed at the midpoint of every step.  Both step through one
 unconditionally stable Crank-Nicolson driver with conjugate-gradient solves,
-norm non-increasing for positive semidefinite generators.  Both frames
+norm non-increasing for positive semidefinite generators; I +- dt/2 L is
+applied matrix-free from the generator L, never formed.  Both frames
 precondition their solves by the zero-field Crank-Nicolson operator, inverted
 by fast diagonalization: a DST-I in the physical frame, dense eigenvectors of
 the confined axis operator in the self-similar one.
@@ -17,7 +18,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.fft import dstn
 from scipy.sparse.linalg import LinearOperator, cg
 from scipy.special import logsumexp
@@ -176,14 +176,15 @@ def _fast_diagonalization(grid, dt, harmonic):
 
 def _cn_solver(matrix, dt, precondition):
     """CG solve of (I + dt/2 L) out = (I - dt/2 L) values, warm-started at values
-    and preconditioned by ``precondition`` (an approximate inverse of I + dt/2 L)."""
-    eye = sp.identity(matrix.shape[0], dtype=matrix.dtype, format="csr")
-    plus = (eye + (dt / 2.0) * matrix).tocsr()
-    minus = (eye - (dt / 2.0) * matrix).tocsr()
+    and preconditioned by ``precondition`` (an approximate inverse of I + dt/2 L).
+    Both sides are applied matrix-free, as v +- dt/2 (L v): no matrix but L."""
+    half = dt / 2.0
+    plus = LinearOperator(matrix.shape, dtype=matrix.dtype,
+                          matvec=lambda v: v + half * (matrix @ v))
 
     def solve(values):
-        out, info = cg(plus, minus @ values, x0=values, rtol=CG_RTOL, atol=0.0,
-                       M=precondition)
+        out, info = cg(plus, values - half * (matrix @ values), x0=values, rtol=CG_RTOL,
+                       atol=0.0, M=precondition)
         if info != 0:
             raise SolverConvergenceError(f"Crank-Nicolson CG failed (info={info})")
         return out

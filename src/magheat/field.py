@@ -42,18 +42,20 @@ _GL64_UNIT = 0.5 * (_GL64_NODES + 1.0)   # the nodes mapped onto [0, 1]
 _RAY_BLOCK = 1024   # rays per block of the off-centre quadrature in alpha_batch
 
 
-def _profile_sq(profile, u2):
-    """Reference profile as a function of u^2 = (|x - c| / R)^2.
+def _profile_sq(profile, u2, out=None):
+    """Reference profile as a function of u^2 = (|x - c| / R)^2, into ``out`` if given.
 
     "step" is 1 on the open unit disc, "bump" is exp(1 - 1/(1 - u^2)) there;
     both vanish for u^2 >= 1.  Clamping 1 - u^2 at 0 instead of masking keeps
     the bump finite (exactly 0) on and beyond the rim.
     """
-    u2 = np.asarray(u2, dtype=float)
+    out = np.empty(np.shape(u2)) if out is None else out
     if profile == "step":
-        return (u2 < 1.0).astype(float)
+        return np.less(u2, 1.0, out=out)
+    np.maximum(np.subtract(1.0, u2, out=out), 0.0, out=out)
     with np.errstate(divide="ignore"):
-        return np.exp(1.0 - 1.0 / np.maximum(1.0 - u2, 0.0))
+        np.divide(1.0, out, out=out)
+    return np.exp(np.subtract(1.0, out, out=out), out=out)
 
 
 @lru_cache(maxsize=1)
@@ -260,11 +262,17 @@ def alpha_batch(field, r, theta):
         hit = np.flatnonzero((disc > 0.0) & ~(width <= 0.0))
         b, t0, width = b.ravel(), t0.ravel(), width.ravel()
         flat = out.reshape(-1)
+        buffers = np.empty((2, min(hit.size, _RAY_BLOCK), _GL64_UNIT.size))
         for start in range(0, hit.size, _RAY_BLOCK):
             rows = hit[start:start + _RAY_BLOCK]
-            tau = t0[rows, None] + width[rows, None] * _GL64_UNIT
-            u2 = (tau * (tau - 2.0 * b[rows, None]) + c2) / comp.radius**2
-            vals = _profile_sq(comp.profile, u2)
+            tau, u2 = buffers[:, :rows.size]
+            np.multiply(width[rows, None], _GL64_UNIT, out=tau)
+            tau += t0[rows, None]
+            np.subtract(tau, 2.0 * b[rows, None], out=u2)
+            u2 *= tau
+            u2 += c2
+            u2 /= comp.radius**2
+            vals = _profile_sq(comp.profile, u2, out=u2)
             vals *= tau
             flat[rows] += (0.5 * comp.amplitude) * width[rows] * (vals @ _GL64_WEIGHTS)
     return out
@@ -345,6 +353,18 @@ def flux_at(field, r):
 # transverse gauge
 
 
+def _transverse_components(field, x, y, s, axes):
+    """Components ``axes`` (0: x, 1: y) of ``vector_potential`` at the points
+    (x, y); the one place g is formed, so one component costs one."""
+    scale = 1.0 if s is None else math.exp(s / 2.0)
+    x, y = scale * x, scale * y
+    r = np.hypot(x, y)
+    a_val = alpha_batch(field, r, np.arctan2(y, x))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        g = np.where(r > 0.0, a_val / np.maximum(r, 1e-300) ** 2, 0.0)
+    return [scale * (-y * g if k == 0 else x * g) for k in axes]
+
+
 def vector_potential(field, points, s=None):
     """Transverse-gauge A(x) = (-x2, x1) g(x) at an (..., 2) array of points,
     or at a single point, with g(x) = int_0^1 B(tau x) tau dtau =
@@ -353,11 +373,6 @@ def vector_potential(field, points, s=None):
     With ``s`` given, returns the rescaled potential A_s(y) = e^{s/2}
     A(e^{s/2} y) of the self-similar frame.  At the origin A is 0.
     """
-    scale = 1.0 if s is None else math.exp(s / 2.0)
-    pts = scale * np.asarray(points, dtype=float)
-    x, y = pts[..., 0], pts[..., 1]
-    r = np.hypot(x, y)
-    a_val = alpha_batch(field, r, np.arctan2(y, x))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        g = np.where(r > 0.0, a_val / np.maximum(r, 1e-300) ** 2, 0.0)
-    return scale * np.stack([-y * g, x * g], axis=-1)
+    pts = np.asarray(points, dtype=float)
+    return np.stack(_transverse_components(field, pts[..., 0], pts[..., 1], s, (0, 1)),
+                    axis=-1)

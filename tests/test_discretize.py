@@ -37,6 +37,27 @@ def test_zero_field_phases(zero_field):
     assert np.all(phases.qv == 0.0)
 
 
+@pytest.mark.parametrize("s", [None, 1.5])
+def test_phases_match_the_two_component_quadrature(step_half, bump_field, offset_bump, s):
+    # oracle: 3-point Gauss sums of A . dl over both components of
+    # vector_potential, each edge family reading one; the one-component
+    # phases do the same arithmetic, so they agree bit for bit
+    nodes = np.array([0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)])
+    weights = np.array([5.0, 8.0, 5.0]) / 18.0
+    grid = mh.build_grid(4.0, 40)
+    n, h = grid.n, grid.h
+    X, Y = grid.mesh()
+    for field in (step_half, bump_field, offset_bump):
+        qh, qv = np.zeros((n - 1, n)), np.zeros((n, n - 1))
+        for gx, gw in zip(nodes, weights):
+            pts = np.stack([X[:-1, :] + gx * h, Y[:-1, :]], axis=-1)
+            qh += gw * mh.vector_potential(field, pts, s)[..., 0] * h
+            pts = np.stack([X[:, :-1], Y[:, :-1] + gx * h], axis=-1)
+            qv += gw * mh.vector_potential(field, pts, s)[..., 1] * h
+        phases = mh.peierls_phases(grid, field, s)
+        assert np.array_equal(phases.qh, qh) and np.array_equal(phases.qv, qv)
+
+
 def test_plaquette_flux_fourth_order(bump_field):
     # plaquette phase sums reproduce the cell flux h^2 B(center) at O(h^4)
     worst = []

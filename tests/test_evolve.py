@@ -218,6 +218,25 @@ def test_generator_rebuilt_only_when_it_changes(monkeypatch, zero_field, step_ha
         assert len(seen) == builds, (frame, field.is_zero)
 
 
+def test_selfsimilar_step_forms_no_matrix_beyond_the_generator(step_half):
+    # a fielded step's peak allocation is its assembly, about 4 times the
+    # generator's data array at n = 96 (4.5 with the step); forming
+    # I +- dt/2 L as two more sparse matrices took the step to 6.5
+    import tracemalloc
+
+    grid = mh.build_grid(6.0, 96)
+    v0 = mh.gaussian_state(grid, 1.0, frame="self-similar")
+    mh.evolve_selfsimilar(step_half, v0, 0.05, 0.05)   # lazy imports and caches
+    L = mh.assemble_magnetic(mh.peierls_phases(grid, step_half, s=0.025), harmonic=True)
+    tracemalloc.start()
+    try:
+        mh.evolve_selfsimilar(step_half, v0, 0.05, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * L.matrix.data.nbytes
+
+
 def test_infinite_step_count_rejected(zero_field):
     grid = mh.build_grid(6.0, 32)
     with pytest.raises(ValueError, match="not finite"):
