@@ -54,15 +54,16 @@ def _window_samples(times, norms, window):
     of its ends, the rule by which configs are validated: the runs accumulate
     their times step by step, so a sample meant to sit on an end may miss it
     by a rounding error.  Fewer than ``MIN_FIT_SAMPLES`` samples, or a
-    non-positive norm among them, is a ``ValueError``.
+    non-positive or non-finite norm among them (NaN included), is a
+    ``ValueError``.
     """
     slack = 1e-6 * (times[-1] - times[0]) / max(times.size - 1, 1)
     mask = (times >= float(window[0]) - slack) & (times <= float(window[1]) + slack)
     if int(mask.sum()) < MIN_FIT_SAMPLES:
         raise ValueError(f"need >= {MIN_FIT_SAMPLES} samples in the window, "
                          f"found {int(mask.sum())}")
-    if np.any(norms[mask] <= 0.0):
-        raise ValueError("trajectory contains non-positive norms in the window")
+    if not np.all((norms[mask] > 0.0) & (norms[mask] < np.inf)):
+        raise ValueError("trajectory contains non-positive or non-finite norms in the window")
     return times[mask], norms[mask]
 
 
@@ -81,10 +82,7 @@ def fit_exponential_rate(traj, window):
     """Exponential rate of a self-similar run: slope of -log |v| vs s."""
     if traj.frame != "self-similar":
         raise ValueError("exponential rates apply to self-similar trajectories")
-    norms = traj.k_norms
-    if np.any(np.isnan(norms)):
-        norms = traj.l2_norms
-    times, norms = _window_samples(traj.times, norms, window)
+    times, norms = _window_samples(traj.times, traj.k_norms, window)
     slope, residual, stderr = _fit_line(times, np.log(norms))
     return DecayFit(frame="self-similar", exponent=-slope,
                     fit_window=(float(window[0]), float(window[1])),

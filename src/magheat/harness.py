@@ -1,9 +1,11 @@
 """Experiment harness: configuration, dispatch, persistence, suites.
 
-Each run consumes one :class:`ExperimentConfig`, writes a deterministic
-``summary.json`` (plus kind-specific CSVs) atomically into its output
-directory, and returns a :class:`RunRecord`.  ``preset_suite`` names the
-canned experiment lists; ``compare`` diffs two summaries numerically.
+Each run consumes one :class:`ExperimentConfig`.  Its kind's runner computes
+the summary and the kind-specific CSV tables without touching the
+filesystem; :func:`run` alone then writes them, each atomically, into the
+output directory as CSVs, a deterministic ``summary.json`` and a
+``record.json``, and returns the :class:`RunRecord`.  ``preset_suite`` names
+the canned experiment lists; ``compare`` diffs two summaries numerically.
 """
 
 from __future__ import annotations
@@ -35,9 +37,6 @@ from .field import (beta_of, field_from_descriptor, flux_at, is_finite_real, tot
                     vector_potential)
 from .spectral import (dense_s_grid, hardy_constant, lambda_curve,
                        lambda_limit_estimate, smallest_eigs)
-
-EXPERIMENT_KINDS = ("flux", "gauge-check", "spectrum-exact", "spectrum-numeric",
-                    "lambda-curve", "hardy", "evolve", "decay-report")
 
 OUT_DIR_ENV = "MAGHEAT_OUT"
 
@@ -81,12 +80,32 @@ def _check_entries(name, value, checks, allow_none=True):
             raise ConfigError(f"invalid {name} entry {key!r}: {item!r}")
 
 
-# what validate() accepts in each config object
-_TOLERANCES = {
-    **dict.fromkeys(("transversality", "hermiticity", "gauge_invariance", "level_rel",
-                     "floor", "limit_abs", "positive", "oracle_rel"), is_finite_real),
-    "monotone_approach": lambda v: isinstance(v, bool),
+# the top-level fields each kind's runner reads, True where it needs them
+# (kind, label, seed and tolerances go with every kind)
+_FIELDS = {
+    "flux": {"field": True},
+    "gauge-check": {"field": True, "grid": False},
+    "spectrum-exact": {"fluxes": False, "count": False},
+    "spectrum-numeric": {"fluxes": False, "count": False, "radial": False},
+    "lambda-curve": {"field": True, "grid": True, "s_values": False},
+    "hardy": {"field": True, "sweep": False, "h": False},
+    "evolve": {"field": True, "grid": True, "evolve": False},
+    "decay-report": {"field": True, "report": False},
 }
+# the tolerances each kind's runner reads
+_TOLERANCES = {
+    "flux": {},
+    "gauge-check": dict.fromkeys(("transversality", "hermiticity", "gauge_invariance"),
+                                 is_finite_real),
+    "spectrum-exact": {},
+    "spectrum-numeric": {"level_rel": is_finite_real},
+    "lambda-curve": {"floor": is_finite_real, "limit_abs": is_finite_real,
+                     "monotone_approach": lambda v: isinstance(v, bool)},
+    "hardy": {"positive": is_finite_real},
+    "evolve": {"oracle_rel": is_finite_real},
+    "decay-report": {},
+}
+# what validate() accepts in each config object
 _RADIAL = {"r_max": lambda v: is_finite_real(v) and v >= RADIAL_MIN_R_MAX,
            "m_points": lambda v: _is_count(v) and v >= RADIAL_MIN_POINTS}
 
@@ -221,7 +240,9 @@ class ExperimentConfig:
                "a non-empty list of finite numbers")
         _check("sweep", self.sweep, _list_of(_is_positive),
                "a non-empty list of positive finite numbers")
-        _check_entries("tolerances", self.tolerances, _TOLERANCES, allow_none=False)
+        _check_entries("tolerances", self.tolerances,
+                       {k: ok for checks in _TOLERANCES.values() for k, ok in checks.items()},
+                       allow_none=False)
         _check_entries("radial", self.radial, _RADIAL)
         _check_entries("evolve", self.evolve, _EVOLVE)
         if self.evolve is not None:
@@ -260,13 +281,23 @@ class ExperimentConfig:
                 if not (math.isfinite(2.0 * r_dom / h) and _hardy_n(r_dom, h) >= 16):
                     raise ConfigError(f"hardy sweep entry r_dom={r_dom} at h={h}: the grid "
                                       f"needs a finite round(2 r_dom / h) - 1 >= 16 points")
-        if self.kind not in ("spectrum-exact", "spectrum-numeric") and self.field is None:
-            raise ConfigError(f"kind {self.kind!r} requires a field descriptor")
         if self.field is not None:
             try:
                 field_from_descriptor(self.field)
             except PresetError as exc:
                 raise ConfigError(f"field: {exc}") from exc
+        # after the value checks, so that a bad value is reported as such
+        reads = _FIELDS[self.kind]
+        unread = sorted(name for name in set().union(*_FIELDS.values()) - set(reads)
+                        if getattr(self, name) is not None)
+        unread += [f"tolerances.{key}" for key in sorted(self.tolerances)
+                   if key not in _TOLERANCES[self.kind]]
+        if unread:
+            raise ConfigError(f"kind {self.kind!r} does not read {unread}")
+        missing = [name for name, needed in reads.items()
+                   if needed and getattr(self, name) is None]
+        if missing:
+            raise ConfigError(f"kind {self.kind!r} requires a {' and a '.join(missing)}")
 
     def build_field(self):
         if self.field is None:
@@ -306,7 +337,7 @@ def _atomic_write(path, text):
         raise
 
 
-def _write_csv(path, header, rows):
+def _csv_text(header, rows):
     lines = [",".join(header)]
     for row in rows:
         cells = []
@@ -318,14 +349,15 @@ def _write_csv(path, header, rows):
             else:
                 cells.append(str(v))
         lines.append(",".join(cells))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# runners
+# runners: each returns (summary, tables), tables mapping a CSV file name to
+# its (header, rows); none touches the filesystem
 
 
-def _run_flux(cfg, out):
+def _run_flux(cfg):
     fld = cfg.build_field()
     phi = total_flux(fld)
     beta = beta_of(fld)
@@ -341,10 +373,10 @@ def _run_flux(cfg, out):
         "flux_consistent": bool(abs(summary["flux_at_support"] - phi) < 1e-9),
         "beta_in_range": bool(0.0 <= beta <= 0.5 + 1e-15),
     }
-    return summary, []
+    return summary, {}
 
 
-def _run_gauge_check(cfg, out):
+def _run_gauge_check(cfg):
     fld = cfg.build_field()
     a_of = partial(vector_potential, fld)
     rng = np.random.default_rng(cfg.seed)
@@ -406,23 +438,22 @@ def _run_gauge_check(cfg, out):
         "hermiticity": bool(herm < tols["hermiticity"]),
         "gauge_invariance": bool(gauge_dev < tols["gauge_invariance"]),
     }
-    return summary, []
+    return summary, {}
 
 
-def _run_spectrum_exact(cfg, out):
+def _run_spectrum_exact(cfg):
     count = cfg.count or 12
     fluxes = cfg.fluxes or [0.5]
-    outputs = []
+    levels = {}
     tables = {}
     flags = {}
     for flux in fluxes:
         spec = ab_spectrum(flux, count)
         beta = abs(flux - round(flux))
-        rows = [(lv.value, lv.n, lv.m, lv.multiplicity) for lv in spec.levels]
-        path = out / f"spectrum_flux_{flux:+.4f}.csv"
-        _write_csv(path, ("value", "n", "m", "multiplicity"), rows)
-        outputs.append(str(path))
-        tables[f"{flux:+.4f}"] = {
+        tables[f"spectrum_flux_{flux:+.4f}.csv"] = (
+            ("value", "n", "m", "multiplicity"),
+            [(lv.value, lv.n, lv.m, lv.multiplicity) for lv in spec.levels])
+        levels[f"{flux:+.4f}"] = {
             "lowest": spec.levels[0].value,
             "expected_lowest": round((1.0 + beta) / 2.0, 12),
             "values": [lv.value for lv in spec.levels],
@@ -448,11 +479,11 @@ def _run_spectrum_exact(cfg, out):
                     0.0, 60.0, epsabs=1e-12, epsrel=1e-11, limit=200)
                 worst = max(worst, abs(val) / norm)
     flags["laguerre_orthogonality"] = bool(worst < 1e-8)
-    summary = {"tables": tables, "laguerre_orthogonality_worst": worst, "flags": flags}
-    return summary, outputs
+    summary = {"tables": levels, "laguerre_orthogonality_worst": worst, "flags": flags}
+    return summary, tables
 
 
-def _run_spectrum_numeric(cfg, out):
+def _run_spectrum_numeric(cfg):
     fluxes = cfg.fluxes or [0.0, 0.3, 0.5, 1.0, 1.3]
     count = cfg.count or 5
     rad = cfg.radial or {}
@@ -461,7 +492,7 @@ def _run_spectrum_numeric(cfg, out):
     rel_tol = cfg.tolerances.get("level_rel", 1e-4)
     results = {}
     flags = {}
-    outputs = []
+    tables = {}
     for flux in fluxes:
         channel_vals = []
         for m in range(-6, 7):
@@ -473,11 +504,10 @@ def _run_spectrum_numeric(cfg, out):
         exact = ab_spectrum(flux, count)
         rel = [abs(num[0] - lv.value) / lv.value
                for num, lv in zip(numeric, exact.levels)]
-        rows = [(num[0], lv.value, num[1], rel_)
-                for num, lv, rel_ in zip(numeric, exact.levels, rel)]
-        path = out / f"radial_vs_exact_{flux:+.4f}.csv"
-        _write_csv(path, ("numeric", "exact", "m", "rel_error"), rows)
-        outputs.append(str(path))
+        tables[f"radial_vs_exact_{flux:+.4f}.csv"] = (
+            ("numeric", "exact", "m", "rel_error"),
+            [(num[0], lv.value, num[1], rel_)
+             for num, lv, rel_ in zip(numeric, exact.levels, rel)])
         results[f"{flux:+.4f}"] = {
             "numeric": [n[0] for n in numeric],
             "exact": [lv.value for lv in exact.levels],
@@ -486,17 +516,14 @@ def _run_spectrum_numeric(cfg, out):
         flags[f"match_{flux:+.4f}"] = bool(max(rel) < rel_tol)
     summary = {"levels": results, "flags": flags,
                "radial": {"r_max": r_max, "m_points": m_points}}
-    return summary, outputs
+    return summary, tables
 
 
-def _run_lambda_curve(cfg, out):
+def _run_lambda_curve(cfg):
     fld = cfg.build_field()
     grid = cfg.build_grid()
     s_values = cfg.s_values if cfg.s_values is not None else [0.0, 2.0, 4.0, 6.0]
     samples = lambda_curve(fld, s_values, grid, seed=cfg.seed)
-    rows = [(s.s, s.lam, s.residual, s.iterations, s.n, s.r_dom) for s in samples]
-    path = out / "lambda_curve.csv"
-    _write_csv(path, ("s", "lambda", "residual", "iterations", "N", "R_dom"), rows)
     beta = beta_of(fld)
     target = (1.0 + beta) / 2.0
     summary = {
@@ -522,10 +549,12 @@ def _run_lambda_curve(cfg, out):
         flags["monotone_approach"] = bool(
             all(b < a for a, b in zip(dist, dist[1:])))
     summary["flags"] = flags
-    return summary, [str(path)]
+    rows = [(s.s, s.lam, s.residual, s.iterations, s.n, s.r_dom) for s in samples]
+    return summary, {"lambda_curve.csv": (("s", "lambda", "residual", "iterations", "N",
+                                           "R_dom"), rows)}
 
 
-def _run_hardy(cfg, out):
+def _run_hardy(cfg):
     fld = cfg.build_field()
     h = cfg.h or _HARDY_H
     estimates = []
@@ -540,17 +569,16 @@ def _run_hardy(cfg, out):
     else:
         flags["uniformly_positive"] = bool(min(cs) > cfg.tolerances.get("positive", 0.01))
     summary = {"sweep": estimates, "flags": flags}
-    return summary, []
+    return summary, {}
 
 
-def _run_evolve(cfg, out):
+def _run_evolve(cfg):
     fld = cfg.build_field()
     grid = cfg.build_grid()
     ev = {**_EVOLVE_DEFAULTS, **(cfg.evolve or {})}
     frame = ev["frame"]
     width = ev["width"]
     flags = {}
-    outputs = []
     if frame == "physical":
         u0 = gaussian_state(grid, width)
         traj = evolve_physical(fld, u0, ev["t_final"], ev["dt"])
@@ -581,30 +609,27 @@ def _run_evolve(cfg, out):
     norms = traj.k_norms if frame == "self-similar" else traj.l2_norms
     mono = bool(np.all(np.diff(norms) <= 1e-12 * norms[:-1]))
     flags["contraction"] = mono
-    rows = [(frame, p.time, p.l2_norm, p.k_norm, p.boundary_mass) for p in traj.points]
-    path = out / "trajectory.csv"
-    _write_csv(path, ("frame", "time", "l2_norm", "k_norm", "boundary_mass"), rows)
-    outputs.append(str(path))
     summary["flags"] = flags
-    return summary, outputs
+    rows = [(frame, p.time, p.l2_norm, p.k_norm, p.boundary_mass) for p in traj.points]
+    return summary, {"trajectory.csv": (("frame", "time", "l2_norm", "k_norm",
+                                         "boundary_mass"), rows)}
 
 
-def _run_decay_report(cfg, out):
+def _run_decay_report(cfg):
     fld = cfg.build_field()
     report = theorem_report(fld, ReportConfig(**(cfg.report or {}), seed=cfg.seed))
     rows = [(s["s"], s["lambda"], s["residual"]) for s in report["lambda_curve"]]
-    path = out / "lambda_curve.csv"
-    _write_csv(path, ("s", "lambda", "residual"), rows)
     fit_rows = [(name, f["window"][0], f["window"][1], f["exponent"],
                  f["stderr"], f["residual"])
                 for name, f in sorted(report["gamma_fits"].items())]
     ss = report["selfsimilar_slope"]
     fit_rows.append(("selfsimilar", ss["window"][0], ss["window"][1],
                      ss["exponent"], ss["stderr"], ss["residual"]))
-    fit_path = out / "fit_residuals.csv"
-    _write_csv(fit_path, ("fit", "window_lo", "window_hi", "exponent",
-                          "stderr", "residual"), fit_rows)
-    return report, [str(path), str(fit_path)]
+    return report, {
+        "lambda_curve.csv": (("s", "lambda", "residual"), rows),
+        "fit_residuals.csv": (("fit", "window_lo", "window_hi", "exponent", "stderr",
+                               "residual"), fit_rows),
+    }
 
 
 _RUNNERS = {
@@ -617,6 +642,7 @@ _RUNNERS = {
     "evolve": _run_evolve,
     "decay-report": _run_decay_report,
 }
+EXPERIMENT_KINDS = tuple(_RUNNERS)
 
 
 def default_out_dir():
@@ -624,29 +650,27 @@ def default_out_dir():
 
 
 def run(config, out_dir=None):
-    """Execute one experiment; outputs land in ``out_dir / config.label``."""
+    """Execute one experiment and write its files into ``out_dir / config.label``.
+
+    The runner computes first; only then are the directory and its files
+    made, each atomically: the runner's CSVs in its order, ``summary.json``,
+    then ``record.json``.  A runner that raises leaves no files.
+    """
     config.validate()
     base = Path(out_dir) if out_dir is not None else default_out_dir()
     out = base / config.label
-    created = not out.exists()
-    out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    try:
-        summary, outputs = _RUNNERS[config.kind](config, out)
-    except BaseException:
-        # a failed run leaves no empty directory of its own behind
-        if created and not any(out.iterdir()):
-            out.rmdir()
-        raise
+    summary, tables = _RUNNERS[config.kind](config)
     summary = {"kind": config.kind, "label": config.label, "seed": config.seed,
                **summary}
-    summary.setdefault("flags", {})
     summary["pass"] = bool(all(summary["flags"].values()))
+    for name, (header, rows) in tables.items():
+        _atomic_write(out / name, _csv_text(header, rows))
     summary_path = out / "summary.json"
     _atomic_write(summary_path, json.dumps(summary, sort_keys=True, indent=2) + "\n")
     wall = time.perf_counter() - t0
     record = RunRecord(config=json.loads(config.to_json()),
-                       outputs=[str(summary_path)] + outputs,
+                       outputs=[str(summary_path)] + [str(out / name) for name in tables],
                        wall_clock=wall, version=__version__)
     _atomic_write(out / "record.json",
                   json.dumps(asdict(record), sort_keys=True, indent=2) + "\n")

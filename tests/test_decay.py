@@ -43,6 +43,18 @@ def test_fit_validation():
         mh.fit_polynomial_rate(bad, (0, 60))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fits_reject_non_finite_norms(bad):
+    # one non-finite norm inside the window is an error, not a NaN exponent
+    t = np.linspace(0, 60, 200)
+    norms = (1 + t) ** -0.5
+    norms[100] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        mh.fit_polynomial_rate(_physical_traj(t, norms), (10, 50))
+    with pytest.raises(ValueError, match="non-finite"):
+        mh.fit_exponential_rate(_selfsim_traj(t, norms), (10, 50))
+
+
 def test_fit_window_shift_stability():
     # slow transient whose instantaneous rate rises toward the asymptote:
     # shifting the fit window later never reduces gamma beyond its stderr

@@ -323,6 +323,17 @@ MALFORMED = {
                                    "report": {"ss_r_dom": 6.0, "ss_n": 32,
                                               "s_values": [0.0, 1.0, 2.0],
                                               "t_final": 1e308, "dt": 1e-300}},
+    # fields and tolerances that the kind never reads, and a grid it needs
+    "flux-grid": {"kind": "flux", "field": _STEP, "grid": _GRID},
+    "flux-unread": {"kind": "flux", "field": _STEP, "s_values": [0.0], "count": 3,
+                    "tolerances": {"oracle_rel": 1e-3, "floor": 1e-3}},
+    "hardy-grid": {"kind": "hardy", "field": _STEP, "grid": _GRID},
+    "evolve-tolerance-floor": {"kind": "evolve", "field": _STEP, "grid": _GRID,
+                               "evolve": {"frame": "self-similar", "s_final": 1.0},
+                               "tolerances": {"floor": 1e-3}},
+    "lambda-curve-no-grid": {"kind": "lambda-curve", "field": _STEP},
+    "evolve-no-grid": {"kind": "evolve", "field": _STEP,
+                       "evolve": {"frame": "self-similar", "s_final": 1.0}},
 }
 
 
@@ -394,6 +405,30 @@ def test_failed_run_leaves_no_empty_directory(tmp_path):
 
     assert main(["evolve", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
     assert not (tmp_path / "fw").exists()
+
+
+def test_failed_run_leaves_no_files(tmp_path, monkeypatch):
+    # the second flux fails after the first flux's table is computed
+    real = mh.harness.ab_spectrum
+
+    def failing(flux, count):
+        if flux == 0.3:
+            raise RuntimeError("simulated failure")
+        return real(flux, count)
+
+    monkeypatch.setattr(mh.harness, "ab_spectrum", failing)
+    cfg = ExperimentConfig(kind="spectrum-exact", label="spec", fluxes=[0.0, 0.3], count=4)
+    with pytest.raises(RuntimeError, match="simulated failure"):
+        run(cfg, out_dir=tmp_path)
+    assert not (tmp_path / "spec").exists()
+
+
+def test_quick_suite_leaves_only_its_outputs(tmp_path):
+    # a run directory holds its record plus exactly the files the record names
+    for rec in mh.run_suite("quick", out_dir=tmp_path):
+        out = Path(rec.outputs[0]).parent
+        assert Path(rec.outputs[0]).name == "summary.json"
+        assert sorted(out.iterdir()) == sorted([out / "record.json", *map(Path, rec.outputs)])
 
 
 def test_config_validates_field_descriptor():
