@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -106,43 +106,68 @@ class LinkPhases:
 
     ``qh[i, j]`` is the angle on the edge from node (i, j) to (i+1, j),
     ``qv[i, j]`` from (i, j) to (i, j+1).  The unit-modulus link factors are
-    exp(i q); zero field gives q identically zero.
+    exp(i q); zero field gives q identically zero.  ``s`` is the self-similar
+    time of A_s, None for the physical potential.
     """
 
     grid: Grid2D
     qh: np.ndarray
     qv: np.ndarray
+    s: float | None = None
 
     def gauge_transformed(self, chi):
         """New phases with the lattice gradient of chi (shape (n, n)) added."""
         chi = np.asarray(chi, dtype=float)
         if chi.shape != (self.grid.n, self.grid.n):
             raise ValueError("chi must be a lattice function on the grid")
-        return LinkPhases(grid=self.grid,
-                          qh=self.qh + (chi[1:, :] - chi[:-1, :]),
-                          qv=self.qv + (chi[:, 1:] - chi[:, :-1]))
+        return replace(self, qh=self.qh + (chi[1:, :] - chi[:-1, :]),
+                       qv=self.qv + (chi[:, 1:] - chi[:, :-1]))
 
     def plaquette_fluxes(self):
         """Counterclockwise phase sums around each cell, ~ h^2 B(center)."""
         return (self.qh[:, :-1] + self.qv[1:, :] - self.qh[:, 1:] - self.qv[:-1, :])
 
 
-def peierls_phases(grid, field, s=None):
+def peierls_phases(grid, field, s=None, previous=None):
     """Edge phases on ``grid`` of the transverse-gauge potential A of ``field``
     (s is None) or of its rescaling A_s.
 
     Each edge integral uses 3-point Gauss quadrature of A . dl along the
     straight edge: of A_x on the ``qh`` edges, of A_y on the ``qv`` edges.
+
+    ``previous``, phases of the same field on ``grid`` at another
+    self-similar time, is updated in place and returned with ``s``: only the
+    edges near the rescaled support are recomputed.  Beyond radius
+    R e^{-s/2} (R the support radius) A_s is the Aharonov-Bohm far field
+    alpha_inf(theta)/|y| e_theta, the same for every s, so an edge whose
+    Gauss points all lie beyond that radius at both times keeps its phase up
+    to the rounding of e^{s/2}.  The recomputed edges are those joining two
+    nodes with |x| and |y| below the larger radius plus h, a box that holds
+    every edge with a Gauss point inside that radius.
     """
     n, h = grid.n, grid.h
     X, Y = grid.mesh()
-    qh, qv = np.zeros((n - 1, n)), np.zeros((n, n - 1))
+    if previous is None:
+        qh, qv = np.zeros((n - 1, n)), np.zeros((n, n - 1))
+        nodes = edges = slice(None)
+    else:
+        if previous.grid != grid or s is None or previous.s is None:
+            raise ValueError("previous must hold self-similar phases on the same grid")
+        qh, qv = previous.qh, previous.qv
+        cut = field.support_radius * math.exp(-min(s, previous.s) / 2.0)
+        near = np.flatnonzero(np.abs(grid.axis()) < cut + h)
+        nodes, edges = slice(near[0], near[-1] + 1), slice(near[0], near[-1])
+        qh[edges, nodes] = 0.0
+        qv[nodes, edges] = 0.0
+    box_h, box_v = (edges, nodes), (nodes, edges)
+    xh, yh, bh = X[:-1, :][box_h], Y[:-1, :][box_h], qh[box_h]
+    xv, yv, bv = X[:, :-1][box_v], Y[:, :-1][box_v], qv[box_v]
     for gx, gw in zip(_GL3_NODES, _GL3_WEIGHTS):
-        (a_x,) = _transverse_components(field, X[:-1, :] + gx * h, Y[:-1, :], s, (0,))
-        qh += gw * a_x * h
-        (a_y,) = _transverse_components(field, X[:, :-1], Y[:, :-1] + gx * h, s, (1,))
-        qv += gw * a_y * h
-    return LinkPhases(grid=grid, qh=qh, qv=qv)
+        (a_x,) = _transverse_components(field, xh + gx * h, yh, s, (0,))
+        bh += gw * a_x * h
+        (a_y,) = _transverse_components(field, xv, yv + gx * h, s, (1,))
+        bv += gw * a_y * h
+    return LinkPhases(grid=grid, qh=qh, qv=qv, s=s)
 
 
 @dataclass

@@ -259,9 +259,14 @@ def evolve_selfsimilar(field, v0, s_final, ds):
 
     The generator is rebuilt at the midpoint of every step (second order in
     ds), except for a zero field, whose generator does not depend on s and is
-    built once.  Every CG solve is preconditioned by the zero-field
-    Crank-Nicolson operator, inverted by fast diagonalization: exact without
-    a field, and close while the rescaled field shrinks towards a flux line.
+    built once.  After the first step only the edge phases near the rescaled
+    support are recomputed, in place (``peierls_phases`` with ``previous``):
+    beyond radius R e^{-s/2}, R the support radius, the rescaled potential
+    is already the Aharonov-Bohm far field of the same flux, which does not
+    depend on s, so every other edge keeps its phase.  Every CG solve is
+    preconditioned by the zero-field Crank-Nicolson operator, inverted by
+    fast diagonalization: exact without a field, and close while the
+    rescaled field shrinks towards a flux line.
     The recorded weighted norm is the plain norm of the evolved
     representative, which coincides with the weighted norm of the solution in
     the original representation; the companion plain norm divides the weight
@@ -277,12 +282,13 @@ def evolve_selfsimilar(field, v0, s_final, ds):
     check_s_cap(grid, field, [s_final])
     X, Y = grid.mesh()
     inv_weight = np.exp(-(X**2 + Y**2).ravel() / 8.0)
-    built = None
+    phases = built = None
 
     def matrix_at(s):
-        nonlocal built
+        nonlocal phases, built
         if built is None or not field.is_zero:
-            built = assemble_magnetic(peierls_phases(grid, field, s=s), harmonic=True)
+            phases = peierls_phases(grid, field, s=s, previous=phases)
+            built = assemble_magnetic(phases, harmonic=True)
         return built.matrix
 
     def record(values, s):

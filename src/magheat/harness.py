@@ -654,10 +654,12 @@ def run(config, out_dir=None):
 
     The runner computes first; only then are the directory and its files
     made, each atomically: the runner's CSVs in its order, ``summary.json``,
-    then ``record.json``.  A runner that raises leaves no files.
+    then ``record.json``.  A runner that raises leaves no files.  ``out_dir``
+    is resolved once, so ``RunRecord.outputs`` holds absolute paths whatever
+    the working directory.
     """
     config.validate()
-    base = Path(out_dir) if out_dir is not None else default_out_dir()
+    base = (Path(out_dir) if out_dir is not None else default_out_dir()).resolve()
     out = base / config.label
     t0 = time.perf_counter()
     summary, tables = _RUNNERS[config.kind](config)

@@ -88,6 +88,50 @@ def test_concentrated_flux_winding(step_half):
     assert total == pytest.approx(2.0 * math.pi * 0.5, rel=1e-3)
 
 
+@pytest.mark.parametrize("field_name", ["step_half", "offset_bump", "dipole"])
+def test_phases_carried_over_increasing_s_match_fresh_ones(field_name, request):
+    # far-field edges keep their phase from the step before; every s must
+    # still match a fresh computation up to the rounding of e^{s/2}
+    field = request.getfixturevalue(field_name)
+    grid = mh.build_grid(6.0, 60)
+    phases = None
+    for s in (0.0, 0.05, 0.4, 1.0, 2.2):
+        phases = mh.peierls_phases(grid, field, s, previous=phases)
+        fresh = mh.peierls_phases(grid, field, s)
+        assert phases.s == s
+        scale = max(np.abs(fresh.qh).max(), np.abs(fresh.qv).max())
+        np.testing.assert_allclose(phases.qh, fresh.qh, rtol=0.0, atol=1e-14 * scale)
+        np.testing.assert_allclose(phases.qv, fresh.qv, rtol=0.0, atol=1e-14 * scale)
+    with pytest.raises(ValueError, match="previous"):
+        mh.peierls_phases(mh.build_grid(5.0, 60), field, 3.0, previous=phases)
+    with pytest.raises(ValueError, match="previous"):
+        mh.peierls_phases(grid, field, None, previous=phases)
+
+
+@pytest.mark.parametrize("field_name", ["step_half", "offset_bump", "dipole"])
+def test_carried_phases_recompute_every_edge_inside_the_rescaled_support(field_name,
+                                                                         request):
+    # poison the previous phases: an edge with a Gauss point inside
+    # R e^{-s_prev/2} that is not recomputed stays NaN
+    field = request.getfixturevalue(field_name)
+    grid = mh.build_grid(6.0, 60)
+    s_prev, s = 0.3, 0.8
+    previous = mh.peierls_phases(grid, field, s_prev)
+    previous.qh[:], previous.qv[:] = np.nan, np.nan
+    phases = mh.peierls_phases(grid, field, s, previous=previous)
+    fresh = mh.peierls_phases(grid, field, s)
+    cut = field.support_radius * math.exp(-s_prev / 2.0)
+    x, h = grid.axis(), grid.h
+    gauss = x[:-1, None] + h * np.array([0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)])
+    # Gauss-point radii of each qh edge (i, j); the qv edges are the transpose
+    radii = np.hypot(gauss[:, None, :], x[None, :, None])
+    inner = radii.min(axis=-1) < cut
+    assert np.any(inner & (radii.max(axis=-1) >= cut))     # edges straddling the cut
+    for q, q_fresh, inside in ((phases.qh, fresh.qh, inner), (phases.qv, fresh.qv, inner.T)):
+        np.testing.assert_allclose(q[inside], q_fresh[inside], rtol=0.0,
+                                   atol=1e-14 * np.abs(q_fresh).max())
+
+
 def test_assemble_hermitian_and_psd(offset_bump, rng):
     grid = mh.build_grid(6.0, 40)
     phases = mh.peierls_phases(grid, offset_bump)

@@ -202,6 +202,26 @@ def test_peierls_phases_route_through_alpha_batch(step_half, offset_bump, monkey
         assert f in calls
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("radial-step", {"b0": 1.0, "r": 1.0}),
+    ("radial-bump", {"b0": 1.3, "r": 0.8}),
+    ("scaled-to-flux", {"target": 0.3, "r": 1.3}),
+    ("offset-bump", {"b0": 1.0, "r": 1.0, "center": [0.7, 0.3]}),   # origin inside
+    ("dipole-pair", {"b0": 1.0, "r": 0.5, "center": [1.5, 0.0]}),   # origin outside
+])
+def test_alpha_beyond_the_support_is_alpha_infinity_bit_for_bit(kind, params, rng):
+    # the self-similar steps keep far-field edge phases on this identity
+    field = mh.make_field(kind, params)
+    centres = [math.atan2(c.center[1], c.center[0]) for c in field.components]
+    theta = np.concatenate([rng.uniform(-np.pi, np.pi, 20_000),
+                            np.linspace(-np.pi, np.pi, 2_001), centres])
+    inf = mh.alpha_infinity(field, theta)
+    radius = field.support_radius
+    for r in (radius, np.nextafter(radius, np.inf), 1.5 * radius, 1e3 * radius,
+              radius * (1.0 + rng.uniform(0.0, 5.0, theta.size))):
+        assert np.array_equal(alpha_batch(field, r, theta), inf)
+
+
 def test_alpha_infinity_radial_step(step_half):
     for th in (0.0, 1.0, 4.0):
         assert mh.alpha_infinity(step_half, th) == pytest.approx(0.5, abs=1e-12)

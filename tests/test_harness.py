@@ -423,6 +423,19 @@ def test_failed_run_leaves_no_files(tmp_path, monkeypatch):
     assert not (tmp_path / "spec").exists()
 
 
+def test_relative_out_dir_records_absolute_outputs(tmp_path, monkeypatch):
+    # a record written under a relative directory names files that exist
+    # from any working directory
+    monkeypatch.chdir(tmp_path)
+    cfg = ExperimentConfig(kind="spectrum-exact", label="spec", fluxes=[0.5], count=4)
+    rec = run(cfg, out_dir="rel")
+    record = json.loads((tmp_path / "rel" / "spec" / "record.json").read_text())
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    assert record["outputs"] == rec.outputs
+    assert all(Path(p).is_absolute() and Path(p).is_file() for p in rec.outputs)
+
+
 def test_quick_suite_leaves_only_its_outputs(tmp_path):
     # a run directory holds its record plus exactly the files the record names
     for rec in mh.run_suite("quick", out_dir=tmp_path):
