@@ -5,12 +5,13 @@ infimum gap above 1/2."""
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import quad
-from scipy.sparse.linalg import LinearOperator, eigsh, splu
+from scipy.sparse.linalg import LinearOperator, eigsh, lobpcg, splu
 
 from .discretize import (DiscreteOperator, assemble_magnetic, build_grid, check_s_cap,
                          harmonic_axis_eigh, peierls_phases)
@@ -21,6 +22,22 @@ DIAMAGNETIC_SLACK = 1e-9    # floor tolerance of the discrete diamagnetic bound
 SHIFT_BELOW_FLOOR = 0.05    # lambda_curve's shift-invert shift sits this far below the floor
 DEGENERACY_FLUX_TOL = 1e-6  # half-integer detection for block solves
 C_B_SPACING = 0.5           # widest s step the infimum gap samples
+LOBPCG_TOL_FRACTION = 0.1   # LOBPCG's residual tolerance as a share of lambda_curve's tol
+LOBPCG_MAXITER = 20         # LOBPCG iterations before a sample falls back to a fresh factor
+# Share of a seeded random block, columns of unit norm, in the LOBPCG start
+# of every later sample of a lambda(s) curve; the rest is the previous
+# sample's eigenvectors.  Radial fields split the lattice operator into four
+# symmetry classes, and when the ground state moves to another class between
+# two samples, a start inside the old class converges to a true eigenpair
+# that is not the lowest and passes the residual and floor checks.  The
+# random part pulls the block to the lowest class only while START_NOISE
+# times the gap stays above LOBPCG's tolerance, so it must not be small.
+# Radial steps R 3 at r_dom 7: without it flux 0.7, 0.9 and 1.3 (n=128,
+# s = 0..3.5) and flux 0.9 (n=64, s = 0..2) gave wrong lambdas (0.749195
+# for 0.742666 at flux 0.9, n=64, s=2); 0.1, 0.03, 0.01 and 1e-3 gave the
+# eigsh ones, but 1e-3 with other draws missed flux 0.7 at s=3 (0.735953
+# for 0.735582).  0.1 costs 0 to 2 LU solves per sample over 0.01.
+START_NOISE = 0.1
 
 
 @dataclass(frozen=True)
@@ -45,12 +62,15 @@ class HardyEstimate:
 
 
 class _CountingSolve:
+    """``solve`` that counts the right-hand sides it is given: one per vector,
+    one per column of a block."""
+
     def __init__(self, solve):
         self.solve = solve
         self.count = 0
 
     def __call__(self, v):
-        self.count += 1
+        self.count += v.shape[1] if v.ndim == 2 else 1
         return self.solve(v)
 
 
@@ -63,6 +83,67 @@ def _factor(matrix):
     ``diag_pivot_thresh=0`` gave the same fill and factored more slowly.
     """
     return splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+
+def _random_block(rng, shape, dtype):
+    """Standard normal draws of ``shape``, with a complex part for complex ``dtype``."""
+    block = rng.standard_normal(shape)
+    if np.issubdtype(dtype, np.complexfloating):
+        block = block + 1j * rng.standard_normal(shape)
+    return block
+
+
+def _checked_pairs(op, vals, vecs, tol):
+    """Ascending (eigenvalue, eigenvector) pairs and the worst residual
+    ``|L v - lam v| / |v|``, or ``None`` pairs when a residual exceeds ``tol``.
+
+    Each eigenvector's largest-modulus component is rotated to the positive
+    real axis.
+    """
+    order = np.argsort(vals)
+    vals = vals[order]
+    vecs = vecs[:, order]
+    pairs = []
+    worst = 0.0
+    for j in range(len(vals)):
+        v = vecs[:, j]
+        res = float(np.linalg.norm(op.apply(v) - vals[j] * v) / np.linalg.norm(v))
+        worst = max(worst, res)
+        if res > tol:
+            return None, worst
+        pivot = np.argmax(np.abs(v))
+        phase = v[pivot] / abs(v[pivot])
+        pairs.append((float(vals[j]), v / phase))
+    return pairs, worst
+
+
+def _check_eigs_args(dim, k, tol, sigma):
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k >= dim:
+        raise ValueError(f"k = {k} must be smaller than the dimension {dim}")
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
+
+
+def _shift_invert(op, lu, k, tol, seed, sigma):
+    """``smallest_eigs`` with ``lu`` the factor of ``L - sigma I``."""
+    counting = _CountingSolve(lu.solve)
+    opinv = LinearOperator(op.matrix.shape, matvec=counting, dtype=op.matrix.dtype)
+    v0 = _random_block(np.random.default_rng(seed), op.dimension, op.matrix.dtype)
+    ncv = min(op.dimension - 1, max(2 * k + 1, 24))
+    try:
+        vals, vecs = eigsh(op.matrix, k=k, sigma=sigma, which="LM", OPinv=opinv,
+                           v0=v0, ncv=ncv, maxiter=400, tol=0.0)
+    except Exception as exc:
+        raise SolverConvergenceError(f"shift-inverted eigensolve failed: {exc}") from exc
+    pairs, worst = _checked_pairs(op, vals, vecs, tol)
+    if pairs is None:
+        raise SolverConvergenceError(
+            f"eigenpair residual {worst:.2e} exceeds tol {tol:.2e}")
+    return pairs, worst, counting.count
 
 
 def smallest_eigs(op, k, tol=1e-8, seed=0, sigma=0.0):
@@ -81,43 +162,37 @@ def smallest_eigs(op, k, tol=1e-8, seed=0, sigma=0.0):
     component rotated to the positive real axis, and ``solve_count`` is the
     number of LU solves.
     """
-    dim = op.dimension
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k >= dim:
-        raise ValueError(f"k = {k} must be smaller than the dimension {dim}")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if not math.isfinite(sigma):
-        raise ValueError(f"sigma must be finite, got {sigma}")
+    _check_eigs_args(op.dimension, k, tol, sigma)
     lu = _factor(op.shifted(-sigma).matrix)
+    return _shift_invert(op, lu, k, tol, seed, sigma)
+
+
+def _preconditioned_eigs(op, lu, sigma, previous, tol, rng):
+    """Smallest eigenpairs of ``op`` by LOBPCG on ``L - sigma I``, preconditioned
+    by ``lu``, the factor of a nearby operator shifted by the same ``sigma``.
+
+    Starts from the ``previous`` eigenvectors plus ``START_NOISE`` of a random
+    block drawn from ``rng``.  Returns ``(pairs, worst_residual, solve_count)``
+    like ``smallest_eigs``, with ``None`` pairs when a residual misses
+    LOBPCG's tolerance; a solve on a block counts one per column.
+    """
+    dtype = op.matrix.dtype
+    start = np.column_stack([v for _, v in previous])
+    noise = _random_block(rng, start.shape, dtype)
+    start = start + START_NOISE * noise / np.linalg.norm(noise, axis=0)
     counting = _CountingSolve(lu.solve)
-    opinv = LinearOperator(op.matrix.shape, matvec=counting, dtype=op.matrix.dtype)
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(dim)
-    if np.issubdtype(op.matrix.dtype, np.complexfloating):
-        v0 = v0 + 1j * rng.standard_normal(dim)
-    ncv = min(dim - 1, max(2 * k + 1, 24))
+    precond = LinearOperator(op.matrix.shape, matvec=counting, matmat=counting, dtype=dtype)
+    lobpcg_tol = LOBPCG_TOL_FRACTION * tol
     try:
-        vals, vecs = eigsh(op.matrix, k=k, sigma=sigma, which="LM", OPinv=opinv,
-                           v0=v0, ncv=ncv, maxiter=400, tol=0.0)
-    except Exception as exc:
-        raise SolverConvergenceError(f"shift-inverted eigensolve failed: {exc}") from exc
-    order = np.argsort(vals)
-    vals = vals[order]
-    vecs = vecs[:, order]
-    pairs = []
-    worst = 0.0
-    for j in range(k):
-        v = vecs[:, j]
-        res = float(np.linalg.norm(op.apply(v) - vals[j] * v) / np.linalg.norm(v))
-        worst = max(worst, res)
-        if res > tol:
-            raise SolverConvergenceError(
-                f"eigenpair {j} residual {res:.2e} exceeds tol {tol:.2e}")
-        pivot = np.argmax(np.abs(v))
-        phase = v[pivot] / abs(v[pivot])
-        pairs.append((float(vals[j]), v / phase))
+        with warnings.catch_warnings():
+            # an unconverged exit warns; the residual check below catches it
+            warnings.simplefilter("ignore", UserWarning)
+            vals, vecs = lobpcg(op.shifted(-sigma).matrix, start, M=precond, tol=lobpcg_tol,
+                                maxiter=LOBPCG_MAXITER, largest=False)
+    except (ValueError, np.linalg.LinAlgError):
+        # a failed Rayleigh-Ritz eigh inside LOBPCG
+        return None, math.inf, counting.count
+    pairs, worst = _checked_pairs(op, np.asarray(vals) + sigma, vecs, lobpcg_tol)
     return pairs, worst, counting.count
 
 
@@ -137,7 +212,19 @@ def lambda_curve(field, s_values, grid, tol=1e-8, seed=0):
 
     Every sample is checked against the discrete diamagnetic floor: the
     same-grid zero-field eigenvalue minus a round-off slack.  The floor
-    also places the shift-invert shift ``SHIFT_BELOW_FLOOR`` beneath it.
+    also places the shift ``sigma`` ``SHIFT_BELOW_FLOOR`` beneath it, the
+    same at every s.  The curve makes one sparse LU: the first sample is a
+    shift-invert solve (``smallest_eigs``) on the factor of
+    ``L(s_0) - sigma I``.  Between samples ``L(s)`` changes only inside the
+    rescaled support, so that factor stays a close approximate inverse, and
+    every later sample runs LOBPCG on ``L(s) - sigma I`` preconditioned by
+    it.  LOBPCG starts from the previous sample's eigenvectors plus a seeded
+    random part (``START_NOISE``): without it a start inside one symmetry
+    class of a radial field stays there when the ground state moves to
+    another, and converges to a higher eigenpair that passes every check.
+    A sample whose LOBPCG residual misses ``LOBPCG_TOL_FRACTION * tol``, or
+    that falls below the floor, is solved again by shift-invert on a fresh
+    factor, which the later samples then use.
     """
     s_values = [float(s) for s in s_values]
     if any(s < 0 for s in s_values):
@@ -146,11 +233,23 @@ def lambda_curve(field, s_values, grid, tol=1e-8, seed=0):
     beta = beta_of(field)
     k = 2 if abs(beta - 0.5) < DEGENERACY_FLUX_TOL else 1
     lam_floor = _diamagnetic_floor(grid)
+    sigma = lam_floor - SHIFT_BELOW_FLOOR
+    _check_eigs_args(grid.size, k, tol, sigma)
+    rng = np.random.default_rng(seed)
+    lu = None
     samples = []
     for s in s_values:
         op = assemble_magnetic(peierls_phases(grid, field, s=s), harmonic=True)
-        pairs, residual, iterations = smallest_eigs(
-            op, k=k, tol=tol, seed=seed, sigma=lam_floor - SHIFT_BELOW_FLOOR)
+        pairs, iterations = None, 0
+        if lu is not None:
+            pairs, residual, iterations = _preconditioned_eigs(op, lu, sigma, previous,
+                                                               tol, rng)
+            if pairs is not None and pairs[0][0] < lam_floor - DIAMAGNETIC_SLACK:
+                pairs = None
+        if pairs is None:
+            lu = _factor(op.shifted(-sigma).matrix)
+            pairs, residual, solves = _shift_invert(op, lu, k, tol, seed=seed, sigma=sigma)
+            iterations += solves
         lam = pairs[0][0]
         if lam < lam_floor - DIAMAGNETIC_SLACK:
             raise SolverConvergenceError(
@@ -158,6 +257,7 @@ def lambda_curve(field, s_values, grid, tol=1e-8, seed=0):
                 f"{lam_floor:.8f}")
         samples.append(SpectralSample(s=s, lam=lam, residual=residual,
                                       iterations=iterations, r_dom=grid.r_dom, n=grid.n))
+        previous = pairs
     return samples
 
 

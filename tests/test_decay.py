@@ -153,17 +153,17 @@ def test_theorem_report_solves_each_s_once(monkeypatch, zero_field):
     import magheat.spectral as spectral
 
     seen = []
-    inner = spectral.smallest_eigs
+    inner = spectral.assemble_magnetic
 
-    def counted(*args, **kwargs):
-        seen.append(1)
-        return inner(*args, **kwargs)
+    def counted(phases, *args, **kwargs):
+        seen.append(phases.s)
+        return inner(phases, *args, **kwargs)
 
-    monkeypatch.setattr(spectral, "smallest_eigs", counted)
+    monkeypatch.setattr(spectral, "assemble_magnetic", counted)
     cfg = mh.ReportConfig(
         ss_r_dom=6.0, ss_n=32, s_values=(0.0, 1.0, 2.0), s_final=1.0, ds=0.05,
         phys_r_dom=12.0, phys_n=48, t_final=1.0, dt=0.1, width=1.0,
         fit_window=(0.1, 1.0), ss_fit_window=(0.4, 1.0), initial_data=("gaussian",))
     report = mh.theorem_report(zero_field, cfg)
-    assert len(seen) == 5
+    assert seen == [0.0, 0.5, 1.0, 1.5, 2.0]
     assert [smp["s"] for smp in report["lambda_curve"]] == [0.0, 1.0, 2.0]

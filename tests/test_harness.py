@@ -152,14 +152,15 @@ def test_run_decay_report_small(tmp_path):
 def test_decay_report_solves_with_the_config_seed(tmp_path, monkeypatch):
     import magheat.spectral as spectral
 
+    # every shift-invert eigensolve of the report's curve gets the config seed
     seeds = []
-    inner = spectral.smallest_eigs
+    inner = spectral._shift_invert
 
-    def spy(*args, seed=0, **kwargs):
+    def spy(*args, seed, **kwargs):
         seeds.append(seed)
         return inner(*args, seed=seed, **kwargs)
 
-    monkeypatch.setattr(spectral, "smallest_eigs", spy)
+    monkeypatch.setattr(spectral, "_shift_invert", spy)
     cfg = ExperimentConfig(
         kind="decay-report", label="seeded", field=mh.harness.ZERO_FIELD, seed=7,
         report={"ss_r_dom": 6.0, "ss_n": 32, "s_values": [0.0, 1.0, 2.0], "s_final": 1.0,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,10 +111,70 @@ def test_shift_invert_solves_factor_through_one_path(monkeypatch, step_half):
     assert calls == [expected]
     calls.clear()
     mh.lambda_curve(step_half, [0.0, 0.25, 0.5], grid)
-    assert calls == [expected] * 3
+    assert calls == [expected]   # one factor per curve
     calls.clear()
     mh.hardy_constant(step_half, 4.25, 16)
     assert calls == [expected]
+
+
+@pytest.mark.parametrize("flux", [0.9, 0.5])
+def test_lambda_curve_matches_a_fresh_factor_at_every_s(flux):
+    # later samples run LOBPCG preconditioned by the first sample's factor;
+    # at flux 0.9 the ground state changes symmetry class between s = 1.5 and
+    # s = 2, where a start from the previous eigenvector alone converges to
+    # 0.749195 instead of 0.742666; half flux solves the degenerate pair (k=2)
+    field = mh.make_field("radial-step", {"b0": 2 * flux / 9.0, "r": 3.0})
+    grid = mh.build_grid(7.0, 64)
+    s_values = [0.0, 0.5, 1.0, 1.5, 2.0]
+    sigma = mh.spectral._diamagnetic_floor(grid) - mh.spectral.SHIFT_BELOW_FLOOR
+    k = 2 if flux == 0.5 else 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        samples = mh.lambda_curve(field, s_values, grid)
+    for smp, s in zip(samples, s_values):
+        op = mh.assemble_magnetic(mh.peierls_phases(grid, field, s=s), harmonic=True)
+        pairs, _, _ = mh.smallest_eigs(op, k=k, sigma=sigma)
+        assert smp.lam == pytest.approx(pairs[0][0], rel=1e-10, abs=0.0), s
+        assert smp.residual <= 1e-8
+
+
+def _stalled_lobpcg(A, X, **kwargs):
+    return np.ones(X.shape[1]), X
+
+
+def _broken_lobpcg(A, X, **kwargs):
+    raise ValueError("eigh has failed in lobpcg postprocessing")
+
+
+@pytest.mark.parametrize("fake_lobpcg", [_stalled_lobpcg, _broken_lobpcg])
+def test_lambda_curve_falls_back_to_a_fresh_factor(monkeypatch, step_half, fake_lobpcg):
+    # a LOBPCG that returns its start block unchanged misses the residual
+    # check at every later s, and one that raises gives no pairs; each such s
+    # is then solved by eigsh on its own factor
+    grid = mh.build_grid(4.0, 48)   # resolution cap s_max = 0.85
+    s_values = [0.0, 0.25, 0.5]
+    expected = mh.lambda_curve(step_half, s_values, grid)
+    factors = []
+    real_splu = mh.spectral.splu
+
+    def recording_splu(matrix, **kwargs):
+        factors.append(matrix)
+        return real_splu(matrix, **kwargs)
+
+    monkeypatch.setattr(mh.spectral, "splu", recording_splu)
+    monkeypatch.setattr(mh.spectral, "lobpcg", fake_lobpcg)
+    sigma = mh.spectral._diamagnetic_floor(grid) - mh.spectral.SHIFT_BELOW_FLOOR
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        samples = mh.lambda_curve(step_half, s_values, grid)
+    assert len(factors) == len(s_values)
+    for smp, ref, s in zip(samples, expected, s_values):
+        op = mh.assemble_magnetic(mh.peierls_phases(grid, step_half, s=s), harmonic=True)
+        pairs, residual, solves = mh.smallest_eigs(op, k=2, sigma=sigma)
+        assert smp.lam == pairs[0][0] and smp.residual == residual
+        # the fake LOBPCG made no solves; eigsh's are counted
+        assert smp.iterations == solves
+        assert smp.lam == pytest.approx(ref.lam, rel=1e-10, abs=0.0)
 
 
 def test_lambda_curve_resolution_cap(step_half):
