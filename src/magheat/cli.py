@@ -4,13 +4,15 @@
     magheat suite <name> [--out <dir>] [--workers k]
     magheat compare <a> <b> [--rtol x]
 
-Exit codes: 0 all pass flags true, 1 numeric failure, 2 configuration error.
+Exit codes: 0 all pass flags true, 1 numeric failure or a closed standard
+output, 2 configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -60,9 +62,9 @@ def main(argv=None):
             sa, sb = load_summary(args.a), load_summary(args.b)
             diffs = compare(sa, sb, rtol=args.rtol)
             if diffs:
-                print(json.dumps(diffs, indent=2, sort_keys=True))
+                print(json.dumps(diffs, indent=2, sort_keys=True), flush=True)
                 return 1
-            print("summaries agree")
+            print("summaries agree", flush=True)
             return 0
         # a single experiment kind
         try:
@@ -77,8 +79,14 @@ def main(argv=None):
             config.seed = args.seed
         record = run(config, out_dir=args.out)
         summary = load_summary(record.outputs[0])
-        print(json.dumps(summary, indent=2, sort_keys=True))
+        print(json.dumps(summary, indent=2, sort_keys=True), flush=True)
         return 0 if summary["pass"] else 1
+    except BrokenPipeError:
+        # the reader of stdout went away (`magheat compare a b | head`); every
+        # print flushes, so the rest of the output goes to devnull, and the
+        # flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ConfigError, PresetError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

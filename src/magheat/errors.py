@@ -9,10 +9,6 @@ class PresetError(MagheatError, ValueError):
     """Invalid field preset tag or preset parameters."""
 
 
-class QuadratureError(MagheatError, RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-
 class ResolutionCapError(MagheatError, ValueError):
     """Requested self-similar time exceeds what the grid can resolve."""
 

@@ -114,10 +114,16 @@ def _is_window(v):
     return _list_of(is_finite_real)(v) and len(v) == 2 and v[0] < v[1]
 
 
+def _is_increasing_times(v):
+    """A non-empty list of strictly increasing s >= 0, as a lambda(s) curve's
+    limit extrapolation and monotone-approach flag read it."""
+    return (_list_of(lambda x: is_finite_real(x) and x >= 0)(v)
+            and all(a < b for a, b in zip(v, v[1:])))
+
+
 def _is_report_times(v):
     """Three or more increasing s >= 0, as the limit extrapolation needs."""
-    return (_list_of(lambda x: is_finite_real(x) and x >= 0)(v) and len(v) >= 3
-            and all(a < b for a, b in zip(v, v[1:])))
+    return _is_increasing_times(v) and len(v) >= 3
 
 
 _EVOLVE = {
@@ -234,8 +240,8 @@ class ExperimentConfig:
         _check("seed", self.seed, _is_count, "a non-negative integer", allow_none=False)
         _check("count", self.count, lambda v: _is_count(v) and v >= 1, "a positive integer")
         _check("h", self.h, _is_positive, "a positive finite number")
-        _check("s_values", self.s_values, _list_of(lambda v: is_finite_real(v) and v >= 0),
-               "a non-empty list of finite numbers >= 0")
+        _check("s_values", self.s_values, _is_increasing_times,
+               "a non-empty list of strictly increasing finite numbers >= 0")
         _check("fluxes", self.fluxes, _list_of(is_finite_real),
                "a non-empty list of finite numbers")
         _check("sweep", self.sweep, _list_of(_is_positive),
@@ -283,9 +289,13 @@ class ExperimentConfig:
                                       f"needs a finite round(2 r_dom / h) - 1 >= 16 points")
         if self.field is not None:
             try:
-                field_from_descriptor(self.field)
+                fld = field_from_descriptor(self.field)
             except PresetError as exc:
                 raise ConfigError(f"field: {exc}") from exc
+            # the free Gaussian norm is exact only where there is no field
+            if (self.evolve or {}).get("oracle") and not fld.is_zero:
+                raise ConfigError("evolve.oracle 'free-gaussian' needs a zero field, "
+                                  f"got a {fld.kind} field")
         # after the value checks, so that a bad value is reported as such
         reads = _FIELDS[self.kind]
         unread = sorted(name for name in set().union(*_FIELDS.values()) - set(reads)

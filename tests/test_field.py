@@ -5,10 +5,12 @@ from functools import partial
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
+from scipy.special import expn
 
 import magheat as mh
 from magheat.errors import PresetError
-from magheat.field import ALPHA_TOL, FieldComponent, MagneticField, alpha_batch, flux_at
+from magheat.field import (ALPHA_TOL, BUMP_FLUX_UNIT, FieldComponent, MagneticField,
+                           _bump_cumulative_ratio, alpha_batch, flux_at)
 
 
 def alpha_oracle(field, r, theta):
@@ -61,16 +63,29 @@ def test_bump_continuity(bump_field):
 
 
 def test_scaled_to_flux_independent_quadrature():
-    f = mh.make_field("scaled-to-flux", {"target": 1.0, "r": 1.0})
-    assert abs(mh.total_flux(f) - 1.0) < 1e-10
+    # the total flux is the components' exact moments, so scaling to a
+    # target flux meets it to rounding
+    for target in (1.0, 1.3):
+        for r in (1.0, 3.0, 100.0):
+            f = mh.make_field("scaled-to-flux", {"target": target, "r": r})
+            assert abs(mh.total_flux(f) - target) < 1e-15
     # independent oracle: Cartesian 2-D quadrature over the bounding square
+    f = mh.make_field("scaled-to-flux", {"target": 1.0, "r": 1.0})
     val, err = dblquad(lambda y, x: f.eval(x, y), -1, 1, -1, 1,
                        epsabs=1e-11, epsrel=1e-11)
     assert err < 1e-9
     assert abs(val / (2 * math.pi) - 1.0) < 1e-9
 
-    f13 = mh.make_field("scaled-to-flux", {"target": 1.3, "r": 1.0})
-    assert abs(mh.total_flux(f13) - 1.3) < 1e-10
+    # the unit bump's flux J(1) = int_0^1 bump(v) v dv against its closed
+    # form (e/2) E_2(1): 2.1e-15 apart, 1.0e-14 relative
+    assert abs(BUMP_FLUX_UNIT - 0.5 * math.e * expn(2, 1)) < 1e-14
+    # the interpolant of J(u)/u^2 against adaptive quadrature of J(u); the
+    # degree-140 fit is worst at the rim, 4.7e-14 at u = 1
+    bump = mh.make_field("radial-bump", {"b0": 1.0, "r": 1.0})
+    for u in (1e-4, 0.01, 0.3, 0.7, 0.99, 1.0):
+        exact, _ = quad(lambda v: float(bump.eval(v, 0.0)) * v, 0.0, u,
+                        epsabs=1e-14, epsrel=1e-13, limit=200)
+        assert abs(u * u * _bump_cumulative_ratio(u) - exact) < 1e-13
 
 
 def test_dipole_zero_flux(dipole):

@@ -333,6 +333,18 @@ MALFORMED = {
                                "evolve": {"frame": "self-similar", "s_final": 1.0},
                                "tolerances": {"floor": 1e-3}},
     "lambda-curve-no-grid": {"kind": "lambda-curve", "field": _STEP},
+    # s values that do not strictly increase, caught before any eigensolve
+    "lambda-curve-s_values-unsorted": {"kind": "lambda-curve", "field": _STEP,
+                                       "grid": {"r_dom": 7.0, "n": 64},
+                                       "s_values": [0.0, 2.0, 1.0]},
+    "lambda-curve-s_values-repeated": {"kind": "lambda-curve", "field": _STEP,
+                                       "grid": {"r_dom": 7.0, "n": 64},
+                                       "s_values": [0.0, 1.0, 1.0]},
+    # the free Gaussian norm is no oracle under a field
+    "evolve-oracle-field": {"kind": "evolve", "field": _STEP,
+                            "grid": {"r_dom": 16.0, "n": 63},
+                            "evolve": {"frame": "physical", "t_final": 1.0,
+                                       "oracle": "free-gaussian"}},
     "evolve-no-grid": {"kind": "evolve", "field": _STEP,
                        "evolve": {"frame": "self-similar", "s_final": 1.0}},
 }
@@ -562,6 +574,23 @@ def test_python_dash_m_entrypoint(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 2, proc.stderr
     assert "config error" in proc.stderr
+
+
+def test_closed_stdout_is_no_config_error(tmp_path):
+    # `magheat compare a b | head -1`: the reader closes the pipe before the
+    # diff (over 64 KiB, more than a pipe holds) is written
+    for name, offset in (("a", 0), ("b", 1)):
+        summary = {"kind": "flux", "values": [v + offset for v in range(20_000)]}
+        (tmp_path / f"{name}.json").write_text(json.dumps(summary))
+    env = {**os.environ, "PYTHONPATH": str(Path(mh.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "magheat", "compare",
+                             str(tmp_path / "a.json"), str(tmp_path / "b.json")],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=env)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait() == 1, stderr
+    assert stderr == ""
 
 
 def test_env_default_out_dir(tmp_path, monkeypatch):
