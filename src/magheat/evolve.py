@@ -7,8 +7,9 @@ unconditionally stable Crank-Nicolson driver with conjugate-gradient solves,
 norm non-increasing for positive semidefinite generators; I +- dt/2 L is
 applied matrix-free from the generator L, never formed.  Both frames
 precondition their solves by the zero-field Crank-Nicolson operator, inverted
-by fast diagonalization: a DST-I in the physical frame, dense eigenvectors of
-the confined axis operator in the self-similar one.
+by fast diagonalization: a DST-I on both axes in the physical frame; in the
+self-similar one, dense eigenvectors of the confined axis operator on one
+axis and one factored tridiagonal solve along the other.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.fft import dstn
+from scipy.linalg.lapack import dpttrf, dpttrs, zpttrs
 from scipy.sparse.linalg import LinearOperator, cg
 from scipy.special import logsumexp
 
@@ -131,12 +133,16 @@ def _fast_diagonalization(grid, dt, harmonic):
     """P^{-1} for P = I + dt/2 (T (x) I + I (x) T), the zero-field
     Crank-Nicolson operator of ``assemble_magnetic(.., harmonic)`` on ``grid``.
 
-    With ``harmonic`` T is the confined axis operator, T = V diag(w) V^T
-    (``harmonic_axis_eigh``), and P^{-1} r is
-    V ((V^T R V) / (1 + dt/2 (w_i + w_j))) V^T for r = vec(R): four dense
-    n x n products.  ``V`` is real, so complex data go through as their real
-    and imaginary parts; numpy would otherwise promote ``V`` to complex and
-    double the cost of each product.
+    With ``harmonic`` T = tridiag(-1/h^2, 2/h^2 + x^2/16, -1/h^2) is the
+    confined axis operator, T = V diag(w) V^T (``harmonic_axis_eigh``).
+    Applying V^T to axis 0 of r = vec(R) splits P into n independent blocks,
+    (1 + dt/2 w_i) I + dt/2 T for mode i, each symmetric positive definite and
+    tridiagonal along axis 1.  Stacked, they form one tridiagonal of size n^2
+    whose off-diagonal is zero where a row of nodes ends; it is factored once
+    as L D L^T (LAPACK ?pttrf), so P^{-1} r is V (pttrs(V^T R)): two dense
+    n x n products and one tridiagonal solve.  ``V`` is real, so complex data
+    go through it as their interleaved real view, of shape (n, 2n): one real
+    product per side, without copying the parts apart.
 
     Without it T = tridiag(-1, 2, -1)/h^2, which the orthonormal DST-I
     diagonalizes with eigenvalues (2 - 2 cos(k pi/(n+1)))/h^2; the transform is
@@ -144,24 +150,29 @@ def _fast_diagonalization(grid, dt, harmonic):
     Complex data are viewed as a trailing axis of real and imaginary parts, so
     both parts go through one transform without being copied apart.
     """
-    n = grid.n
+    n, half = grid.n, dt / 2.0
     if harmonic:
         w, V = harmonic_axis_eigh(grid)
+        axis_diag = 2.0 / grid.h**2 + grid.axis() ** 2 / 16.0
+        off = np.full(n * n - 1, -half / grid.h**2)
+        off[n - 1::n] = 0.0         # no coupling across the end of a row
+        d, e, info = dpttrf((1.0 + half * (w[:, None] + axis_diag)).ravel(), off,
+                            overwrite_d=1, overwrite_e=1)
+        if info != 0:
+            raise SolverConvergenceError(
+                f"self-similar preconditioner factor failed (pttrf info={info})")
     else:
         w = (2.0 - 2.0 * np.cos(np.arange(1, n + 1) * (np.pi / (n + 1)))) / grid.h**2
-    scale = 1.0 / (1.0 + (dt / 2.0) * (w[:, None] + w[None, :]))
-
-    def solve_real(R):
-        return V @ ((V.T @ R @ V) * scale) @ V.T
+        scale = 1.0 / (1.0 + half * (w[:, None] + w[None, :]))
 
     def apply_harmonic(r):
-        R = r.reshape(n, n)
-        if not np.iscomplexobj(r):
-            return solve_real(R).ravel()
-        out = np.empty((n, n), dtype=r.dtype)
-        out.real = solve_real(R.real)
-        out.imag = solve_real(R.imag)
-        return out.ravel()
+        modes = V.T @ r.view(np.float64).reshape(n, -1)
+        if np.iscomplexobj(r):     # zpttrs takes a Hermitian, complex off-diagonal
+            x, _ = zpttrs(d, e.astype(complex), modes.view(complex).reshape(-1, 1),
+                          overwrite_b=1)
+        else:
+            x, _ = dpttrs(d, e, modes.reshape(-1, 1), overwrite_b=1)
+        return (V @ x.view(np.float64).reshape(n, -1)).view(r.dtype).ravel()
 
     def apply_dst(r):
         R = r.view(np.float64).reshape(n, n, -1)

@@ -6,8 +6,9 @@ import scipy.sparse as sp
 
 import magheat as mh
 from magheat.discretize import DiscreteOperator
-from magheat.errors import BoundaryContaminationError, ResolutionCapError
-from magheat.evolve import energy_bound_check
+from magheat.errors import (BoundaryContaminationError, ResolutionCapError,
+                            SolverConvergenceError)
+from magheat.evolve import MAX_DS, energy_bound_check
 
 
 def _scalar_operator(grid, sigma):
@@ -144,10 +145,11 @@ def test_selfsimilar_preconditioned_step_matches_direct_solve(monkeypatch, step_
 
 
 @pytest.mark.parametrize("harmonic", [True, False])
-@pytest.mark.parametrize("n", [16, 18])
+@pytest.mark.parametrize("n", [16, 17, 18])
 def test_fast_diagonalization_inverts_the_zero_field_operator(zero_field, rng, n, harmonic):
     # n = 18: the DST-I of length n runs on an FFT of length 2 (n + 1) = 38,
-    # which has the prime factor 19
+    # which has the prime factor 19; n = 17: an odd row length, where a
+    # tridiagonal block ending one node early or late would show
     from magheat.evolve import _fast_diagonalization
 
     grid, dt = mh.build_grid(4.0, n), 0.3
@@ -159,6 +161,47 @@ def test_fast_diagonalization_inverts_the_zero_field_operator(zero_field, rng, n
         out = apply(r)
         assert out.dtype == r.dtype
         assert np.linalg.norm(P @ out - r) <= 1e-12 * np.linalg.norm(r)
+
+
+@pytest.mark.parametrize("dt", [0.3, MAX_DS])
+@pytest.mark.parametrize("n", [16, 17, 18])
+def test_selfsimilar_preconditioner_matches_full_diagonalization(rng, n, dt):
+    # independent oracle: T = V diag(w) V^T on both axes, so
+    # P^{-1} r = V ((V^T R V) / (1 + dt/2 (w_i + w_j))) V^T for r = vec(R)
+    from scipy.linalg import eigh_tridiagonal
+
+    from magheat.evolve import _fast_diagonalization
+
+    grid = mh.build_grid(4.0, n)
+    x = grid.axis()
+    w, V = eigh_tridiagonal(2.0 / grid.h**2 + x**2 / 16.0, np.full(n - 1, -1.0 / grid.h**2))
+    scale = 1.0 / (1.0 + (dt / 2.0) * (w[:, None] + w[None, :]))
+    apply = _fast_diagonalization(grid, dt, True).matvec
+    re, im = rng.standard_normal((2, n, n))
+    for R in (re, re + 1j * im):
+        expected = (V @ ((V.T @ R @ V) * scale) @ V.T).ravel()
+        out = apply(R.ravel())
+        assert out.dtype == R.dtype
+        assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_selfsimilar_preconditioner_factor_failure_is_typed(monkeypatch, tmp_path):
+    # P is positive definite, so its LDL^T factor cannot fail; if it reports
+    # failure anyway the run stops with a solver error (exit 1), not a wrong
+    # inverse
+    import magheat.evolve as ev
+    from magheat.cli import main
+    from magheat.harness import ZERO_FIELD, ExperimentConfig
+
+    monkeypatch.setattr(ev, "dpttrf", lambda d, e, **_: (d, e, 1))
+    with pytest.raises(SolverConvergenceError, match="info=1"):
+        ev._fast_diagonalization(mh.build_grid(4.0, 16), 0.3, True)
+    cfg = ExperimentConfig(kind="evolve", label="factor", field=ZERO_FIELD,
+                           grid={"r_dom": 4.0, "n": 16},
+                           evolve={"frame": "self-similar", "s_final": 0.1, "ds": 0.05})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(cfg.to_json())
+    assert main(["evolve", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
 
 
 def test_physical_preconditioner_exact_without_field(monkeypatch, zero_field):
@@ -220,8 +263,9 @@ def test_generator_rebuilt_only_when_it_changes(monkeypatch, zero_field, step_ha
 
 def test_selfsimilar_step_forms_no_matrix_beyond_the_generator(step_half):
     # a fielded step's peak allocation is its assembly, about 4 times the
-    # generator's data array at n = 96 (4.5 with the step); forming
-    # I +- dt/2 L as two more sparse matrices took the step to 6.5
+    # generator's data array at n = 96 (4.6 with the step and the
+    # preconditioner's tridiagonal factor); forming I +- dt/2 L as two more
+    # sparse matrices took the step to 6.5
     import tracemalloc
 
     grid = mh.build_grid(6.0, 96)

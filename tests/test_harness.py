@@ -96,6 +96,23 @@ def test_compare_refinement_ratio(tmp_path, zero_field):
     assert 2.6 < e1 / e2 < 5.6
 
 
+def test_compare_ignores_eigenpair_residuals(tmp_path):
+    # a 1e-14 relative change of the field amplitude moves lambda by rounding
+    # only, but LOBPCG's residuals (about 4e-10) by 1e-11, beyond compare's
+    # atol: they stay in lambda_curve.csv, out of the summary
+    summaries = []
+    for k, scale in enumerate((1.0, 1.0 + 1e-14)):
+        field = mh.harness._field_step(0.5, 3.0)
+        field["params"]["b0"] *= scale
+        cfg = ExperimentConfig(kind="lambda-curve", label=f"amp{k}", field=field,
+                               grid={"r_dom": 7.0, "n": 64}, s_values=[0.0, 1.0, 2.0])
+        rec = run(cfg, out_dir=tmp_path)
+        summaries.append(load_summary(rec.outputs[0]))
+        (table,) = [p for p in rec.outputs if p.endswith("lambda_curve.csv")]
+        assert open(table).readline().split(",")[:3] == ["s", "lambda", "residual"]
+    assert compare(*summaries) == {}
+
+
 def test_gauge_transform_compare(tmp_path, rng):
     # spectra before and after a discrete gauge transformation agree to 1e-10
     grid = mh.build_grid(6.0, 40)
@@ -147,6 +164,10 @@ def test_run_decay_report_small(tmp_path):
     assert summary["flags"]["energy_bound"]
     assert summary["flags"]["global_bound"]
     assert any(p.endswith("fit_residuals.csv") for p in rec.outputs)
+    # eigenpair residuals go to the table, not to the summary
+    assert all("residual" not in smp for smp in summary["lambda_curve"])
+    (table,) = [p for p in rec.outputs if p.endswith("lambda_curve.csv")]
+    assert open(table).readline().strip() == "s,lambda,residual"
 
 
 def test_decay_report_solves_with_the_config_seed(tmp_path, monkeypatch):
