@@ -71,10 +71,45 @@ def harmonic_axis_eigh(grid):
     T (x) I + I (x) T, so its eigenvalues are w_i + w_j, with eigenvectors
     V[:, i] (x) V[:, j]; ``w`` is ascending and ``V`` orthonormal.
     """
-    x = grid.axis()
-    diag = 2.0 / grid.h**2 + x**2 / 16.0
+    return eigh_tridiagonal(*harmonic_axis_tridiagonal(grid))
+
+
+def harmonic_axis_tridiagonal(grid):
+    """Diagonal and off-diagonal of T = tridiag(-1/h^2, 2/h^2 + x^2/16, -1/h^2)
+    on ``grid.axis()``."""
+    diag = 2.0 / grid.h**2 + grid.axis() ** 2 / 16.0
     off = np.full(grid.n - 1, -1.0 / grid.h**2)
-    return eigh_tridiagonal(diag, off)
+    return diag, off
+
+
+def harmonic_axis_parity_eigh(grid):
+    """Eigenpairs of ``harmonic_axis_eigh``'s T, split by parity in x.
+
+    T's diagonal is even in x, so T commutes with the flip J of the axis and
+    each eigenvector is even or odd.  With m = n // 2 an even eigenvector is
+    fixed by its top m nodes and the centre node of an odd axis, an odd one
+    by its top m nodes; this returns ``((w_e, U_e), (w_o, U_o))``, the
+    eigenpairs of the half-size tridiagonals those nodes satisfy.  For even
+    n both are T's top m x m block, with -1/h^2 (even) or +1/h^2 (odd) added
+    to the last diagonal entry: the mirror node holds +-u_{m-1}.  For odd n
+    the even block is the top (m+1) x (m+1) block with the centre coupling
+    -sqrt(2)/h^2, the symmetric form of the centre row's 2 u_{m-1}, and the
+    odd block the plain top m x m one.  The orthonormal eigenvectors of T
+    are then [U_e; J U_e]/sqrt(2) and [U_o; -J U_o]/sqrt(2) for even n,
+    [U_e[:m]/sqrt(2); U_e[m]; J U_e[:m]/sqrt(2)] and [U_o; 0; -J U_o]/sqrt(2)
+    for odd n.
+    """
+    h = grid.h
+    m, centre = divmod(grid.n, 2)
+    diag, off = harmonic_axis_tridiagonal(grid)
+    even_diag, odd_diag = diag[:m + centre].copy(), diag[:m].copy()
+    even_off = off[:m + centre - 1].copy()
+    if centre:
+        even_off[-1] *= math.sqrt(2.0)
+    else:
+        even_diag[-1] -= 1.0 / h**2
+        odd_diag[-1] += 1.0 / h**2
+    return eigh_tridiagonal(even_diag, even_off), eigh_tridiagonal(odd_diag, off[:m - 1])
 
 
 def check_s_cap(grid, field, s_values):
@@ -128,6 +163,16 @@ class LinkPhases:
         return (self.qh[:, :-1] + self.qv[1:, :] - self.qh[:, 1:] - self.qv[:-1, :])
 
 
+def _carried_box(grid, field, s, s_prev):
+    """``(nodes, edges)``: slices of ``grid.axis()`` bounding the box whose
+    edges a carried phase update from ``s_prev`` to ``s`` recomputes, the
+    nodes with |x| below R e^{-min(s, s_prev)/2} + h (R the support radius)
+    and the edges between two of them."""
+    cut = field.support_radius * math.exp(-min(s, s_prev) / 2.0)
+    near = np.flatnonzero(np.abs(grid.axis()) < cut + grid.h)
+    return slice(near[0], near[-1] + 1), slice(near[0], near[-1])
+
+
 def peierls_phases(grid, field, s=None, previous=None):
     """Edge phases on ``grid`` of the transverse-gauge potential A of ``field``
     (s is None) or of its rescaling A_s.
@@ -154,9 +199,7 @@ def peierls_phases(grid, field, s=None, previous=None):
         if previous.grid != grid or s is None or previous.s is None:
             raise ValueError("previous must hold self-similar phases on the same grid")
         qh, qv = previous.qh, previous.qv
-        cut = field.support_radius * math.exp(-min(s, previous.s) / 2.0)
-        near = np.flatnonzero(np.abs(grid.axis()) < cut + h)
-        nodes, edges = slice(near[0], near[-1] + 1), slice(near[0], near[-1])
+        nodes, edges = _carried_box(grid, field, s, previous.s)
         qh[edges, nodes] = 0.0
         qv[nodes, edges] = 0.0
     box_h, box_v = (edges, nodes), (nodes, edges)
@@ -221,6 +264,39 @@ def assemble_magnetic(phases, harmonic):
     matrix = sp.diags([diag, -hop_h, -hop_h.conj(), -hop_v, -hop_v.conj()],
                       [0, n, -n, 1, -1], format="csr", dtype=dtype)
     return DiscreteOperator(grid=grid, matrix=matrix)
+
+
+def rewrite_hops(matrix, phases, field, s_prev):
+    """Bring ``matrix``, a complex ``assemble_magnetic`` build on
+    ``phases.grid``, up to date with ``phases``, carried from ``s_prev`` by
+    ``peierls_phases(previous=...)``: the hop entries of the edges in the box
+    it recomputed are rewritten in place; the pattern and every other entry
+    are kept.
+
+    Row k = i n + j of the five-point CSR holds the columns k - n, k - 1, k,
+    k + 1, k + n, each where it exists.  So the edge from k to k + n puts its
+    hop last in row k and its conjugate first in row k + n, and the edge from
+    k to k + 1 puts its hop before row k's +n entry (last when i = n - 1)
+    and its conjugate after row k + 1's -n entry (first when i = 0).
+    Positions are found from ``indptr`` for the box only; the values are
+    ``assemble_magnetic``'s, bit for bit.
+    """
+    grid = phases.grid
+    n, h = grid.n, grid.h
+    nodes, edges = _carried_box(grid, field, phases.s, s_prev)
+    ptr, data = matrix.indptr, matrix.data
+
+    i, j = np.ogrid[edges, nodes]
+    k = i * n + j
+    hop = np.exp(-1j * phases.qh[edges, nodes]) / h**2
+    data[ptr[k + 1] - 1] = -hop
+    data[ptr[k + n]] = -hop.conj()
+
+    i, j = np.ogrid[nodes, edges]
+    k = i * n + j
+    hop = np.exp(-1j * phases.qv[nodes, edges]) / h**2
+    data[ptr[k + 1] - 1 - (i < n - 1)] = -hop
+    data[ptr[k + 1] + (i > 0)] = -hop.conj()
 
 
 # ---------------------------------------------------------------------------

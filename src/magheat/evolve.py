@@ -2,14 +2,16 @@
 
 The physical frame evolves the autonomous magnetic heat equation; the
 self-similar frame evolves the non-autonomous confined equation whose
-generator is refreshed at the midpoint of every step.  Both step through one
-unconditionally stable Crank-Nicolson driver with conjugate-gradient solves,
-norm non-increasing for positive semidefinite generators; I +- dt/2 L is
-applied matrix-free from the generator L, never formed.  Both frames
-precondition their solves by the zero-field Crank-Nicolson operator, inverted
-by fast diagonalization: a DST-I on both axes in the physical frame; in the
-self-similar one, dense eigenvectors of the confined axis operator on one
-axis and one factored tridiagonal solve along the other.
+generator is assembled once and updated in place at the midpoint of every
+step.  Both step through one unconditionally stable Crank-Nicolson driver
+with conjugate-gradient solves, norm non-increasing for positive
+semidefinite generators; I +- dt/2 L is applied matrix-free from the
+generator L, never formed.  Both frames precondition their solves by the
+zero-field Crank-Nicolson operator, inverted by fast diagonalization: a
+DST-I on both axes in the physical frame; in the self-similar one, dense
+eigenvectors of the confined axis operator on one axis, folded by parity
+into two half-size bases, and one factored tridiagonal solve along the
+other.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from scipy.linalg.lapack import dpttrf, dpttrs, zpttrs
 from scipy.sparse.linalg import LinearOperator, cg
 from scipy.special import logsumexp
 
-from .discretize import (Grid2D, assemble_magnetic, check_s_cap, harmonic_axis_eigh,
-                         peierls_phases)
+from .discretize import (Grid2D, assemble_magnetic, check_s_cap, harmonic_axis_parity_eigh,
+                         harmonic_axis_tridiagonal, peierls_phases, rewrite_hops)
 from .errors import BoundaryContaminationError, ConfigError, SolverConvergenceError
 
 CG_RTOL = 1e-10
@@ -134,15 +136,21 @@ def _fast_diagonalization(grid, dt, harmonic):
     Crank-Nicolson operator of ``assemble_magnetic(.., harmonic)`` on ``grid``.
 
     With ``harmonic`` T = tridiag(-1/h^2, 2/h^2 + x^2/16, -1/h^2) is the
-    confined axis operator, T = V diag(w) V^T (``harmonic_axis_eigh``).
-    Applying V^T to axis 0 of r = vec(R) splits P into n independent blocks,
-    (1 + dt/2 w_i) I + dt/2 T for mode i, each symmetric positive definite and
-    tridiagonal along axis 1.  Stacked, they form one tridiagonal of size n^2
-    whose off-diagonal is zero where a row of nodes ends; it is factored once
-    as L D L^T (LAPACK ?pttrf), so P^{-1} r is V (pttrs(V^T R)): two dense
-    n x n products and one tridiagonal solve.  ``V`` is real, so complex data
-    go through it as their interleaved real view, of shape (n, 2n): one real
-    product per side, without copying the parts apart.
+    confined axis operator, T = V diag(w) V^T.  Applying V^T to axis 0 of
+    r = vec(R) splits P into n independent blocks, (1 + dt/2 w_i) I + dt/2 T
+    for mode i, each symmetric positive definite and tridiagonal along
+    axis 1.  Stacked, they form one tridiagonal of size n^2 whose
+    off-diagonal is zero where a row of nodes ends; it is factored once as
+    L D L^T (LAPACK ?pttrf), so P^{-1} r is V (pttrs(V^T R)).  T commutes
+    with the flip of the axis, so V is never formed: its even and odd
+    columns come from two half-size eigenbases
+    (``harmonic_axis_parity_eigh``), and V^T R is those bases applied to the
+    sum and the difference of R's top rows and its flipped bottom rows (the
+    centre row of an odd axis joins the even sum), the even modes stacked
+    first.  V x unfolds the same way: four half-size dense products and one
+    tridiagonal solve per apply.  The bases are real, so complex data go
+    through them as their interleaved real view, of shape (n, 2n): one real
+    product per half and side, without copying the parts apart.
 
     Without it T = tridiag(-1, 2, -1)/h^2, which the orthonormal DST-I
     diagonalizes with eigenvalues (2 - 2 cos(k pi/(n+1)))/h^2; the transform is
@@ -152,8 +160,13 @@ def _fast_diagonalization(grid, dt, harmonic):
     """
     n, half = grid.n, dt / 2.0
     if harmonic:
-        w, V = harmonic_axis_eigh(grid)
-        axis_diag = 2.0 / grid.h**2 + grid.axis() ** 2 / 16.0
+        (w_even, U_even), (w_odd, U_odd) = harmonic_axis_parity_eigh(grid)
+        m, ne = n // 2, w_even.size
+        # the 1/sqrt(2) of every folded row, so that fold and unfold are sums
+        E, O = U_even.copy(), U_odd * math.sqrt(0.5)
+        E[:m] *= math.sqrt(0.5)
+        w = np.concatenate([w_even, w_odd])
+        axis_diag, _ = harmonic_axis_tridiagonal(grid)
         off = np.full(n * n - 1, -half / grid.h**2)
         off[n - 1::n] = 0.0         # no coupling across the end of a row
         d, e, info = dpttrf((1.0 + half * (w[:, None] + axis_diag)).ravel(), off,
@@ -161,18 +174,34 @@ def _fast_diagonalization(grid, dt, harmonic):
         if info != 0:
             raise SolverConvergenceError(
                 f"self-similar preconditioner factor failed (pttrf info={info})")
+        e_complex = e.astype(complex)     # zpttrs takes a Hermitian, complex off-diagonal
+        work = np.empty(2 * n * n)        # the folded rows, reused by every apply
     else:
         w = (2.0 - 2.0 * np.cos(np.arange(1, n + 1) * (np.pi / (n + 1)))) / grid.h**2
         scale = 1.0 / (1.0 + half * (w[:, None] + w[None, :]))
 
     def apply_harmonic(r):
-        modes = V.T @ r.view(np.float64).reshape(n, -1)
-        if np.iscomplexobj(r):     # zpttrs takes a Hermitian, complex off-diagonal
-            x, _ = zpttrs(d, e.astype(complex), modes.view(complex).reshape(-1, 1),
-                          overwrite_b=1)
+        R = r.view(np.float64).reshape(n, -1)
+        folded = work[:R.size].reshape(R.shape)
+        top, bottom = R[:m], R[::-1][:m]
+        np.add(top, bottom, out=folded[:m])
+        folded[m:ne] = R[m:ne]          # the centre row of an odd axis
+        np.subtract(top, bottom, out=folded[ne:])
+        modes = np.empty_like(R)
+        np.matmul(E.T, folded[:ne], out=modes[:ne])
+        np.matmul(O.T, folded[ne:], out=modes[ne:])
+        if np.iscomplexobj(r):
+            x, _ = zpttrs(d, e_complex, modes.view(complex).reshape(-1, 1), overwrite_b=1)
         else:
             x, _ = dpttrs(d, e, modes.reshape(-1, 1), overwrite_b=1)
-        return (V @ x.view(np.float64).reshape(n, -1)).view(r.dtype).ravel()
+        x = x.view(np.float64).reshape(n, -1)
+        np.matmul(E, x[:ne], out=folded[:ne])
+        np.matmul(O, x[ne:], out=folded[ne:])
+        # unfold into the solve's own array, which the apply returns
+        np.add(folded[:m], folded[ne:], out=x[:m])
+        x[m:ne] = folded[m:ne]
+        np.subtract(folded[:m], folded[ne:], out=x[::-1][:m])
+        return x.view(r.dtype).ravel()
 
     def apply_dst(r):
         R = r.view(np.float64).reshape(n, n, -1)
@@ -206,8 +235,10 @@ def _cn_solver(matrix, dt, precondition):
 def _crank_nicolson(values, t, span, dt, matrix_at, record, precondition=None):
     """Crank-Nicolson steps of u' = -L(t) u over ``span`` from ``t``; returns
     ``record(values, t)`` at the start and after each step.  The solver is
-    rebuilt when ``matrix_at(t_mid)`` returns a new matrix; every CG solve
-    takes ``precondition`` as its preconditioner."""
+    rebuilt only when ``matrix_at(t_mid)`` returns a new matrix object; it
+    reads the matrix at every solve, so a matrix that ``matrix_at`` rewrites
+    in place keeps its solver.  Every CG solve takes ``precondition`` as its
+    preconditioner."""
     n_steps = step_count(span, dt)
     points = [record(values, t)]
     matrix = None
@@ -268,16 +299,19 @@ def evolve_physical(field, u0, t_final, dt):
 def evolve_selfsimilar(field, v0, s_final, ds):
     """Evolve the confined non-autonomous equation in self-similar variables.
 
-    The generator is rebuilt at the midpoint of every step (second order in
-    ds), except for a zero field, whose generator does not depend on s and is
-    built once.  After the first step only the edge phases near the rescaled
-    support are recomputed, in place (``peierls_phases`` with ``previous``):
-    beyond radius R e^{-s/2}, R the support radius, the rescaled potential
-    is already the Aharonov-Bohm far field of the same flux, which does not
-    depend on s, so every other edge keeps its phase.  Every CG solve is
-    preconditioned by the zero-field Crank-Nicolson operator, inverted by
-    fast diagonalization: exact without a field, and close while the
-    rescaled field shrinks towards a flux line.
+    The generator is taken at the midpoint of every step (second order in
+    ds).  It is assembled once, at the first step; a zero field's does not
+    depend on s.  After the first step only the edge phases near the
+    rescaled support are recomputed, in place (``peierls_phases`` with
+    ``previous``): beyond radius R e^{-s/2}, R the support radius, the
+    rescaled potential is already the Aharonov-Bohm far field of the same
+    flux, which does not depend on s, so every other edge keeps its phase.
+    ``rewrite_hops`` then rewrites the hop entries of those edges in the
+    generator's CSR data, the same matrix object, so the Crank-Nicolson
+    driver keeps its solver.  Every CG solve is preconditioned by the
+    zero-field Crank-Nicolson operator, inverted by fast diagonalization:
+    exact without a field, and close while the rescaled field shrinks
+    towards a flux line.
     The recorded weighted norm is the plain norm of the evolved
     representative, which coincides with the weighted norm of the solution in
     the original representation; the companion plain norm divides the weight
@@ -293,14 +327,18 @@ def evolve_selfsimilar(field, v0, s_final, ds):
     check_s_cap(grid, field, [s_final])
     X, Y = grid.mesh()
     inv_weight = np.exp(-(X**2 + Y**2).ravel() / 8.0)
-    phases = built = None
+    phases = generator = None
 
     def matrix_at(s):
-        nonlocal phases, built
-        if built is None or not field.is_zero:
+        nonlocal phases, generator
+        if generator is None:
+            phases = peierls_phases(grid, field, s=s)
+            generator = assemble_magnetic(phases, harmonic=True).matrix
+        elif not field.is_zero:
+            s_prev = phases.s
             phases = peierls_phases(grid, field, s=s, previous=phases)
-            built = assemble_magnetic(phases, harmonic=True)
-        return built.matrix
+            rewrite_hops(generator, phases, field, s_prev)
+        return generator
 
     def record(values, s):
         state = StateVector(grid=grid, values=values, time=s, frame="self-similar")

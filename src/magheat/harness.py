@@ -22,7 +22,6 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import __version__
 from .decay import (INITIAL_DATA, MIN_FIT_SAMPLES, ReportConfig, fit_exponential_rate,
@@ -452,6 +451,9 @@ def _run_gauge_check(cfg):
 
 
 def _run_spectrum_exact(cfg):
+    # imported here: scipy.integrate loads scipy.optimize, which no other run needs
+    from scipy.integrate import quad
+
     count = cfg.count or 12
     fluxes = cfg.fluxes or [0.5]
     levels = {}

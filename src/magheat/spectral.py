@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import quad
 from scipy.sparse.linalg import LinearOperator, eigsh, lobpcg, splu
 
 from .discretize import (DiscreteOperator, assemble_magnetic, build_grid, check_s_cap,
@@ -288,6 +287,9 @@ def variational_upper_bound(field, s, n, r_infinity=30.0, theta_points=64):
     angular phase e^{i int_0^theta alpha_inf}; an upper bound for lambda(s)
     up to quadrature error by the variational principle.
     """
+    # imported here: scipy.integrate loads scipy.optimize, and no run calls this oracle
+    from scipy.integrate import quad
+
     if n < 2:
         raise ValueError("cutoff index n must be >= 2")
     ln = math.log(n)

@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import magheat
@@ -43,3 +45,14 @@ def test_every_export_has_a_caller_in_the_package():
         "exported names without a caller in the package: "
         f"{sorted(uncalled - set(ORACLES))}; oracles that gained one: "
         f"{sorted(set(ORACLES) - uncalled)}")
+
+
+def test_import_loads_neither_integrate_nor_optimize():
+    # scipy.integrate pulls in scipy.optimize; the two functions that use its
+    # quad import it themselves, so every other run starts without either
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import magheat; "
+            "print(sorted({m.split('.')[1] for m in sys.modules "
+            "if m.startswith(('scipy.integrate', 'scipy.optimize'))}))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

@@ -252,29 +252,91 @@ def test_evolve_physical_free_matches_dst_crank_nicolson(monkeypatch, zero_field
 
 
 def test_generator_rebuilt_only_when_it_changes(monkeypatch, zero_field, step_half):
+    # a fielded self-similar run rewrites its generator in place after the
+    # first step, so every run makes one full assembly
     seen = []
     _spy(monkeypatch, "assemble_magnetic", seen, lambda *args: None)
-    for frame, field, builds in (("physical", step_half, 1), ("self-similar", zero_field, 1),
-                                 ("self-similar", step_half, 3)):
+    for frame, field in (("physical", step_half), ("self-similar", zero_field),
+                         ("self-similar", step_half)):
         seen.clear()
         _run(frame, field, 3)
-        assert len(seen) == builds, (frame, field.is_zero)
+        assert len(seen) == 1, (frame, field.is_zero)
+
+
+def test_crank_nicolson_keeps_its_solver_for_a_generator_updated_in_place(monkeypatch, rng):
+    # matrix_at hands back one matrix object and rewrites its data in place:
+    # the driver builds one solver, and each step solves with that step's data
+    import magheat.evolve as ev
+
+    built = []
+    _spy(monkeypatch, "_cn_solver", built, lambda matrix, dt, precondition: matrix)
+    grid, dt, sigmas = mh.build_grid(4.0, 16), 0.1, (0.5, 2.0, 7.0)
+    matrix = sp.identity(grid.size, dtype=complex, format="csr")
+
+    def matrix_at(t):
+        matrix.data[:] = sigmas[int(t / dt)]
+        return matrix
+
+    values = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+    points = ev._crank_nicolson(values, 0.0, dt * len(sigmas), dt, matrix_at, lambda v, _: v)
+    assert len(built) == 1 and built[0] is matrix
+    expected = values
+    for sigma, out in zip(sigmas, points[1:]):
+        expected = expected * (1.0 - sigma * dt / 2.0) / (1.0 + sigma * dt / 2.0)
+        assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("n", [96, 97])
+@pytest.mark.parametrize("field_name", ["step_half", "offset_bump", "dipole", "wide_bump"])
+def test_generator_rewritten_in_place_matches_a_fresh_assembly(monkeypatch, request,
+                                                               field_name, n):
+    # after every step the CSR arrays equal assemble_magnetic of the same
+    # carried phases, bit for bit, and the matrix object stays the same
+    import magheat.evolve as ev
+    from magheat.discretize import _carried_box
+
+    grid, steps = mh.build_grid(6.0, n), 4
+    if field_name == "wide_bump":
+        # support radius 8 on (-6, 6)^2: the recomputed box is the whole
+        # grid, so the rows along the wall take the rewrite too
+        field = mh.make_field("radial-bump", {"b0": 0.05, "r": 8.0})
+        assert _carried_box(grid, field, 0.05 * steps, 0.05 * steps) == (slice(0, n),
+                                                                         slice(0, n - 1))
+    else:
+        field = request.getfixturevalue(field_name)
+    inner, rewritten = ev.rewrite_hops, []
+
+    def spy(matrix, phases, *args):
+        inner(matrix, phases, *args)
+        fresh = mh.assemble_magnetic(phases, harmonic=True).matrix
+        rewritten.append((id(matrix), all(np.array_equal(getattr(matrix, name),
+                                                         getattr(fresh, name))
+                                          for name in ("data", "indices", "indptr"))))
+
+    monkeypatch.setattr(ev, "rewrite_hops", spy)
+    v0 = mh.gaussian_state(grid, 1.0, frame="self-similar")
+    mh.evolve_selfsimilar(field, v0, 0.05 * steps, 0.05)
+    assert len(rewritten) == steps - 1
+    assert len({matrix for matrix, _ in rewritten}) == 1
+    assert all(same for _, same in rewritten)
 
 
 def test_selfsimilar_step_forms_no_matrix_beyond_the_generator(step_half):
-    # a fielded step's peak allocation is its assembly, about 4 times the
-    # generator's data array at n = 96 (4.6 with the step and the
-    # preconditioner's tridiagonal factor); forming I +- dt/2 L as two more
-    # sparse matrices took the step to 6.5
+    # a fielded run's peak allocation is its one assembly, about 4 times the
+    # generator's data array at n = 96 (5.0 with the state and the
+    # preconditioner's tridiagonal factor and work rows); later steps rewrite
+    # the generator in place, where rebuilding it at every step took these
+    # four steps to 6.2, and forming I +- dt/2 L as two more sparse matrices
+    # took a single step to 6.5
     import tracemalloc
 
     grid = mh.build_grid(6.0, 96)
     v0 = mh.gaussian_state(grid, 1.0, frame="self-similar")
-    mh.evolve_selfsimilar(step_half, v0, 0.05, 0.05)   # lazy imports and caches
+    mh.evolve_selfsimilar(step_half, v0, 0.1, 0.05)    # lazy imports and caches
     L = mh.assemble_magnetic(mh.peierls_phases(grid, step_half, s=0.025), harmonic=True)
     tracemalloc.start()
     try:
-        mh.evolve_selfsimilar(step_half, v0, 0.05, 0.05)
+        mh.evolve_selfsimilar(step_half, v0, 0.2, 0.05)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
