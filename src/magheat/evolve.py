@@ -7,11 +7,11 @@ step.  Both step through one unconditionally stable Crank-Nicolson driver
 with conjugate-gradient solves, norm non-increasing for positive
 semidefinite generators; I +- dt/2 L is applied matrix-free from the
 generator L, never formed.  Both frames precondition their solves by the
-zero-field Crank-Nicolson operator, inverted by fast diagonalization: a
-DST-I on both axes in the physical frame; in the self-similar one, dense
-eigenvectors of the confined axis operator on one axis, folded by parity
-into two half-size bases, and one factored tridiagonal solve along the
-other.
+zero-field Crank-Nicolson operator, inverted by one fast diagonalization:
+dense eigenvectors of the frame's axis operator on one axis, folded by
+parity into two half-size bases, and one factored tridiagonal solve along
+the other.  The frames differ only in that axis operator, which carries
+the confining x^2/16 in self-similar variables.
 """
 
 from __future__ import annotations
@@ -21,13 +21,12 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.fft import dstn
 from scipy.linalg.lapack import dpttrf, dpttrs, zpttrs
 from scipy.sparse.linalg import LinearOperator, cg
 from scipy.special import logsumexp
 
-from .discretize import (Grid2D, assemble_magnetic, check_s_cap, harmonic_axis_parity_eigh,
-                         harmonic_axis_tridiagonal, peierls_phases, rewrite_hops)
+from .discretize import (Grid2D, assemble_magnetic, axis_parity_eigh, axis_tridiagonal,
+                         check_s_cap, peierls_phases, rewrite_hops)
 from .errors import BoundaryContaminationError, ConfigError, SolverConvergenceError
 
 CG_RTOL = 1e-10
@@ -55,8 +54,9 @@ class StateVector:
         total = float(v2.sum())
         if total == 0.0:
             return 0.0
-        inner = float(v2[k:n - k, k:n - k].sum())
-        return (total - inner) / total
+        rows = slice(k, n - k)      # total minus the inside could round below zero
+        ring = v2[:k].sum() + v2[n - k:].sum() + v2[rows, :k].sum() + v2[rows, n - k:].sum()
+        return float(ring) / total
 
 
 @dataclass(frozen=True)
@@ -135,52 +135,41 @@ def _fast_diagonalization(grid, dt, harmonic):
     """P^{-1} for P = I + dt/2 (T (x) I + I (x) T), the zero-field
     Crank-Nicolson operator of ``assemble_magnetic(.., harmonic)`` on ``grid``.
 
-    With ``harmonic`` T = tridiag(-1/h^2, 2/h^2 + x^2/16, -1/h^2) is the
-    confined axis operator, T = V diag(w) V^T.  Applying V^T to axis 0 of
-    r = vec(R) splits P into n independent blocks, (1 + dt/2 w_i) I + dt/2 T
-    for mode i, each symmetric positive definite and tridiagonal along
-    axis 1.  Stacked, they form one tridiagonal of size n^2 whose
-    off-diagonal is zero where a row of nodes ends; it is factored once as
-    L D L^T (LAPACK ?pttrf), so P^{-1} r is V (pttrs(V^T R)).  T commutes
-    with the flip of the axis, so V is never formed: its even and odd
-    columns come from two half-size eigenbases
-    (``harmonic_axis_parity_eigh``), and V^T R is those bases applied to the
-    sum and the difference of R's top rows and its flipped bottom rows (the
-    centre row of an odd axis joins the even sum), the even modes stacked
-    first.  V x unfolds the same way: four half-size dense products and one
+    T = tridiag(-1/h^2, 2/h^2 + q, -1/h^2) is the axis operator
+    (``axis_tridiagonal``), q = x^2/16 with ``harmonic`` and 0 without, and
+    T = V diag(w) V^T.  Applying V^T to axis 0 of r = vec(R) splits P into n
+    independent blocks, (1 + dt/2 w_i) I + dt/2 T for mode i, each symmetric
+    positive definite and tridiagonal along axis 1.  Stacked, they form one
+    tridiagonal of size n^2 whose off-diagonal is zero where a row of nodes
+    ends; it is factored once as L D L^T (LAPACK ?pttrf), so P^{-1} r is
+    V (pttrs(V^T R)).  T commutes with the flip of the axis, so V is never
+    formed: its even and odd columns come from two half-size eigenbases
+    (``axis_parity_eigh``), and V^T R is those bases applied to the sum and
+    the difference of R's top rows and its flipped bottom rows (the centre
+    row of an odd axis joins the even sum), the even modes stacked first.
+    V x unfolds the same way: four half-size dense products and one
     tridiagonal solve per apply.  The bases are real, so complex data go
     through them as their interleaved real view, of shape (n, 2n): one real
     product per half and side, without copying the parts apart.
-
-    Without it T = tridiag(-1, 2, -1)/h^2, which the orthonormal DST-I
-    diagonalizes with eigenvalues (2 - 2 cos(k pi/(n+1)))/h^2; the transform is
-    its own inverse, so P^{-1} r is dstn(dstn(R) / (1 + dt/2 (w_i + w_j))).
-    Complex data are viewed as a trailing axis of real and imaginary parts, so
-    both parts go through one transform without being copied apart.
     """
     n, half = grid.n, dt / 2.0
-    if harmonic:
-        (w_even, U_even), (w_odd, U_odd) = harmonic_axis_parity_eigh(grid)
-        m, ne = n // 2, w_even.size
-        # the 1/sqrt(2) of every folded row, so that fold and unfold are sums
-        E, O = U_even.copy(), U_odd * math.sqrt(0.5)
-        E[:m] *= math.sqrt(0.5)
-        w = np.concatenate([w_even, w_odd])
-        axis_diag, _ = harmonic_axis_tridiagonal(grid)
-        off = np.full(n * n - 1, -half / grid.h**2)
-        off[n - 1::n] = 0.0         # no coupling across the end of a row
-        d, e, info = dpttrf((1.0 + half * (w[:, None] + axis_diag)).ravel(), off,
-                            overwrite_d=1, overwrite_e=1)
-        if info != 0:
-            raise SolverConvergenceError(
-                f"self-similar preconditioner factor failed (pttrf info={info})")
-        e_complex = e.astype(complex)     # zpttrs takes a Hermitian, complex off-diagonal
-        work = np.empty(2 * n * n)        # the folded rows, reused by every apply
-    else:
-        w = (2.0 - 2.0 * np.cos(np.arange(1, n + 1) * (np.pi / (n + 1)))) / grid.h**2
-        scale = 1.0 / (1.0 + half * (w[:, None] + w[None, :]))
+    (w_even, U_even), (w_odd, U_odd) = axis_parity_eigh(grid, harmonic)
+    m, ne = n // 2, w_even.size
+    # the 1/sqrt(2) of every folded row, so that fold and unfold are sums
+    E, O = U_even.copy(), U_odd * math.sqrt(0.5)
+    E[:m] *= math.sqrt(0.5)
+    w = np.concatenate([w_even, w_odd])
+    axis_diag, _ = axis_tridiagonal(grid, harmonic)
+    off = np.full(n * n - 1, -half / grid.h**2)
+    off[n - 1::n] = 0.0         # no coupling across the end of a row
+    d, e, info = dpttrf((1.0 + half * (w[:, None] + axis_diag)).ravel(), off,
+                        overwrite_d=1, overwrite_e=1)
+    if info != 0:
+        raise SolverConvergenceError(f"preconditioner factor failed (pttrf info={info})")
+    e_complex = e.astype(complex)     # zpttrs takes a Hermitian, complex off-diagonal
+    work = np.empty(2 * n * n)        # the folded rows, reused by every apply
 
-    def apply_harmonic(r):
+    def apply(r):
         R = r.view(np.float64).reshape(n, -1)
         folded = work[:R.size].reshape(R.shape)
         top, bottom = R[:m], R[::-1][:m]
@@ -203,15 +192,7 @@ def _fast_diagonalization(grid, dt, harmonic):
         np.subtract(folded[:m], folded[ne:], out=x[::-1][:m])
         return x.view(r.dtype).ravel()
 
-    def apply_dst(r):
-        R = r.view(np.float64).reshape(n, n, -1)
-        spectrum = dstn(R, type=1, norm="ortho", axes=(0, 1))
-        spectrum *= scale[:, :, None]
-        out = dstn(spectrum, type=1, norm="ortho", axes=(0, 1), overwrite_x=True)
-        return out.view(r.dtype).ravel()
-
-    return LinearOperator((grid.size, grid.size), dtype=np.float64,
-                          matvec=apply_harmonic if harmonic else apply_dst)
+    return LinearOperator((grid.size, grid.size), dtype=np.float64, matvec=apply)
 
 
 def _cn_solver(matrix, dt, precondition):
@@ -271,8 +252,8 @@ def evolve_physical(field, u0, t_final, dt):
     Records the plain norm at every step and the weighted norm of the initial
     datum; aborts with a diagnostic when mass reaches the Dirichlet wall.
     Every CG solve is preconditioned by the free Crank-Nicolson operator,
-    inverted by a DST-I: exact without a field, where CG stops after one
-    iteration per step.
+    inverted by fast diagonalization: exact without a field, where CG stops
+    after one iteration per step.
     """
     if u0.frame != "physical":
         raise ValueError("initial state must be in the physical frame")

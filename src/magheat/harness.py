@@ -170,6 +170,15 @@ def _check_fit_window(name, window, span, step):
                           f">= {MIN_FIT_SAMPLES}")
 
 
+def _check_span(name, span, step):
+    """Reject a span more than 1e-6 of a step (``_check_fit_window``'s slack)
+    from a whole number of steps, or with no finite step count: the run takes
+    step_count(span, step) steps, so it would end elsewhere."""
+    last = step_count(span, step)
+    if abs(span / step - last) > 1e-6:
+        raise ConfigError(f"{name} {span} is not a whole number of steps of {step}")
+
+
 def _check_physical_width(name, width):
     """Reject a physical Gaussian datum of width >= 2: its weighted norm
     against e^{|x|^2/4} diverges, so it lies outside the space the theorem
@@ -258,15 +267,17 @@ class ExperimentConfig:
                 raise ConfigError(f"evolve entries {unread} are not read by the {frame} frame")
             if frame == "physical":
                 _check_physical_width("evolve.width", ev["width"])
-            span, step = ((ev["t_final"], ev["dt"]) if frame == "physical"
-                          else (ev["s_final"], ev["ds"]))
-            step_count(span, step)      # a ConfigError when not finite
+            end, by = ("t_final", "dt") if frame == "physical" else ("s_final", "ds")
+            span, step = ev[end], ev[by]
+            _check_span(f"evolve.{end}", span, step)
             if "fit_window" in ev:
                 _check_fit_window("evolve.fit_window", ev["fit_window"], span, step)
         _check_entries("report", self.report, _REPORT)
         if self.report is not None:
             report = ReportConfig(**self.report)
             _check_physical_width("report.width", report.width)
+            _check_span("report.t_final", report.t_final, report.dt)
+            _check_span("report.s_final", report.s_final, report.ds)
             _check_fit_window("report.fit_window", report.fit_window,
                               report.t_final, report.dt)
             _check_fit_window("report.ss_fit_window", report.ss_fit_window,

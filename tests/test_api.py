@@ -47,12 +47,13 @@ def test_every_export_has_a_caller_in_the_package():
         f"{sorted(set(ORACLES) - uncalled)}")
 
 
-def test_import_loads_neither_integrate_nor_optimize():
+def test_import_loads_neither_integrate_optimize_nor_fft():
     # scipy.integrate pulls in scipy.optimize; the two functions that use its
-    # quad import it themselves, so every other run starts without either
+    # quad import it themselves, so every other run starts without either;
+    # no module transforms by FFT, so none loads scipy.fft
     code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import magheat; "
             "print(sorted({m.split('.')[1] for m in sys.modules "
-            "if m.startswith(('scipy.integrate', 'scipy.optimize'))}))")
+            "if m.startswith(('scipy.integrate', 'scipy.optimize', 'scipy.fft'))}))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"

@@ -8,7 +8,7 @@ import magheat as mh
 from magheat.discretize import DiscreteOperator
 from magheat.errors import (BoundaryContaminationError, ResolutionCapError,
                             SolverConvergenceError)
-from magheat.evolve import MAX_DS, energy_bound_check
+from magheat.evolve import BOUNDARY_RINGS, MAX_DS, energy_bound_check
 
 
 def _scalar_operator(grid, sigma):
@@ -147,9 +147,9 @@ def test_selfsimilar_preconditioned_step_matches_direct_solve(monkeypatch, step_
 @pytest.mark.parametrize("harmonic", [True, False])
 @pytest.mark.parametrize("n", [16, 17, 18])
 def test_fast_diagonalization_inverts_the_zero_field_operator(zero_field, rng, n, harmonic):
-    # n = 18: the DST-I of length n runs on an FFT of length 2 (n + 1) = 38,
-    # which has the prime factor 19; n = 17: an odd row length, where a
-    # tridiagonal block ending one node early or late would show
+    # n = 16 and 18: even axes, folded into two m x m halves, with m even and
+    # odd; n = 17: an odd axis, whose centre row joins the even half and
+    # where a tridiagonal block ending one node early or late would show
     from magheat.evolve import _fast_diagonalization
 
     grid, dt = mh.build_grid(4.0, n), 0.3
@@ -163,20 +163,23 @@ def test_fast_diagonalization_inverts_the_zero_field_operator(zero_field, rng, n
         assert np.linalg.norm(P @ out - r) <= 1e-12 * np.linalg.norm(r)
 
 
+@pytest.mark.parametrize("harmonic", [True, False])
 @pytest.mark.parametrize("dt", [0.3, MAX_DS])
 @pytest.mark.parametrize("n", [16, 17, 18])
-def test_selfsimilar_preconditioner_matches_full_diagonalization(rng, n, dt):
+def test_preconditioner_matches_full_diagonalization(rng, n, dt, harmonic):
     # independent oracle: T = V diag(w) V^T on both axes, so
-    # P^{-1} r = V ((V^T R V) / (1 + dt/2 (w_i + w_j))) V^T for r = vec(R)
+    # P^{-1} r = V ((V^T R V) / (1 + dt/2 (w_i + w_j))) V^T for r = vec(R),
+    # with the confining x^2/16 on T's diagonal in the self-similar frame only
     from scipy.linalg import eigh_tridiagonal
 
     from magheat.evolve import _fast_diagonalization
 
     grid = mh.build_grid(4.0, n)
     x = grid.axis()
-    w, V = eigh_tridiagonal(2.0 / grid.h**2 + x**2 / 16.0, np.full(n - 1, -1.0 / grid.h**2))
+    confinement = x**2 / 16.0 if harmonic else np.zeros(n)
+    w, V = eigh_tridiagonal(2.0 / grid.h**2 + confinement, np.full(n - 1, -1.0 / grid.h**2))
     scale = 1.0 / (1.0 + (dt / 2.0) * (w[:, None] + w[None, :]))
-    apply = _fast_diagonalization(grid, dt, True).matvec
+    apply = _fast_diagonalization(grid, dt, harmonic).matvec
     re, im = rng.standard_normal((2, n, n))
     for R in (re, re + 1j * im):
         expected = (V @ ((V.T @ R @ V) * scale) @ V.T).ravel()
@@ -185,7 +188,10 @@ def test_selfsimilar_preconditioner_matches_full_diagonalization(rng, n, dt):
         assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
-def test_selfsimilar_preconditioner_factor_failure_is_typed(monkeypatch, tmp_path):
+@pytest.mark.parametrize("evolve", [{"frame": "self-similar", "s_final": 0.1, "ds": 0.05},
+                                    {"frame": "physical", "t_final": 0.2, "dt": 0.1}],
+                         ids=["self-similar", "physical"])
+def test_preconditioner_factor_failure_is_typed(monkeypatch, capsys, tmp_path, evolve):
     # P is positive definite, so its LDL^T factor cannot fail; if it reports
     # failure anyway the run stops with a solver error (exit 1), not a wrong
     # inverse
@@ -195,13 +201,14 @@ def test_selfsimilar_preconditioner_factor_failure_is_typed(monkeypatch, tmp_pat
 
     monkeypatch.setattr(ev, "dpttrf", lambda d, e, **_: (d, e, 1))
     with pytest.raises(SolverConvergenceError, match="info=1"):
-        ev._fast_diagonalization(mh.build_grid(4.0, 16), 0.3, True)
+        ev._fast_diagonalization(mh.build_grid(4.0, 16), 0.1,
+                                 evolve["frame"] == "self-similar")
     cfg = ExperimentConfig(kind="evolve", label="factor", field=ZERO_FIELD,
-                           grid={"r_dom": 4.0, "n": 16},
-                           evolve={"frame": "self-similar", "s_final": 0.1, "ds": 0.05})
+                           grid={"r_dom": 4.0, "n": 16}, evolve=evolve)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(cfg.to_json())
     assert main(["evolve", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    assert "preconditioner factor failed" in capsys.readouterr().err
 
 
 def test_physical_preconditioner_exact_without_field(monkeypatch, zero_field):
@@ -401,6 +408,21 @@ def test_evolve_physical_boundary_abort(zero_field):
     u0 = mh.gaussian_state(grid, 1.5)
     with pytest.raises(BoundaryContaminationError):
         mh.evolve_physical(zero_field, u0, 30.0, 0.25)
+
+
+def test_boundary_mass_is_the_ring_fraction(zero_field):
+    # the quick suite's self-similar run, where the total minus the inside
+    # rounded below zero (-2.2e-16 at s = 0, -1.2e-16 at s = 0.05)
+    grid = mh.build_grid(8.0, 64)
+    traj = mh.evolve_selfsimilar(zero_field, mh.gaussian_state(grid, 1.1547,
+                                                               frame="self-similar"), 0.2, 0.05)
+    assert all(p.boundary_mass >= 0.0 for p in traj.points)
+    n, k = grid.n, BOUNDARY_RINGS
+    ring = np.ones((n, n), dtype=bool)
+    ring[k:n - k, k:n - k] = False
+    state = mh.gaussian_state(grid, 4.0)
+    v2 = np.abs(state.values.reshape(n, n)) ** 2
+    assert state.boundary_mass() == pytest.approx(v2[ring].sum() / v2.sum(), rel=1e-12)
 
 
 def test_evolve_selfsimilar_ground_state_rate(zero_field):

@@ -345,6 +345,17 @@ MALFORMED = {
                                    "report": {"ss_r_dom": 6.0, "ss_n": 32,
                                               "s_values": [0.0, 1.0, 2.0],
                                               "t_final": 1e308, "dt": 1e-300}},
+    # spans that are not a whole number of steps: the run would end at
+    # t = 0.4 and s = 0.1
+    "evolve-t_final-not-whole": {"kind": "evolve", "field": _STEP, "grid": _GRID,
+                                 "evolve": {"frame": "physical", "t_final": 0.36, "dt": 0.1,
+                                            "width": 0.5}},
+    "evolve-ss-s_final-not-whole": {"kind": "evolve", "field": mh.harness.ZERO_FIELD,
+                                    "grid": _GRID,
+                                    "evolve": {"frame": "self-similar", "s_final": 0.12,
+                                               "ds": 0.05}},
+    "report-s_final-not-whole": {"kind": "decay-report", "field": _STEP,
+                                 "report": {"s_final": 4.01}},
     # fields and tolerances that the kind never reads, and a grid it needs
     "flux-grid": {"kind": "flux", "field": _STEP, "grid": _GRID},
     "flux-unread": {"kind": "flux", "field": _STEP, "s_values": [0.0], "count": 3,
