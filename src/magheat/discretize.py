@@ -71,19 +71,19 @@ def harmonic_axis_eigh(grid):
     T (x) I + I (x) T, so its eigenvalues are w_i + w_j, with eigenvectors
     V[:, i] (x) V[:, j]; ``w`` is ascending and ``V`` orthonormal.
     """
-    return eigh_tridiagonal(*axis_tridiagonal(grid, True))
+    return eigh_tridiagonal(*harmonic_axis_tridiagonal(grid))
 
 
-def axis_tridiagonal(grid, harmonic):
-    """Diagonal and off-diagonal of T = tridiag(-1/h^2, 2/h^2 + q, -1/h^2) on
-    ``grid.axis()``: q = x^2/16 if ``harmonic`` (confined), else 0 (free)."""
-    diag = 2.0 / grid.h**2 + (grid.axis() ** 2 / 16.0 if harmonic else np.zeros(grid.n))
+def harmonic_axis_tridiagonal(grid):
+    """Diagonal and off-diagonal of the one-axis confined operator
+    T = tridiag(-1/h^2, 2/h^2 + x^2/16, -1/h^2) on ``grid.axis()``."""
+    diag = 2.0 / grid.h**2 + grid.axis() ** 2 / 16.0
     off = np.full(grid.n - 1, -1.0 / grid.h**2)
     return diag, off
 
 
-def axis_parity_eigh(grid, harmonic):
-    """Eigenpairs of ``axis_tridiagonal(grid, harmonic)``'s T, split by parity in x.
+def harmonic_axis_parity_eigh(grid):
+    """Eigenpairs of ``harmonic_axis_tridiagonal``'s T, split by parity in x.
 
     T's diagonal is even in x, so T commutes with the flip J of the axis and
     each eigenvector is even or odd.  With m = n // 2 an even eigenvector is
@@ -101,7 +101,7 @@ def axis_parity_eigh(grid, harmonic):
     """
     h = grid.h
     m, centre = divmod(grid.n, 2)
-    diag, off = axis_tridiagonal(grid, harmonic)
+    diag, off = harmonic_axis_tridiagonal(grid)
     even_diag, odd_diag = diag[:m + centre].copy(), diag[:m].copy()
     even_off = off[:m + centre - 1].copy()
     if centre:

@@ -1,17 +1,18 @@
 """Heat-equation time stepping in physical and self-similar variables.
 
-The physical frame evolves the autonomous magnetic heat equation; the
-self-similar frame evolves the non-autonomous confined equation whose
-generator is assembled once and updated in place at the midpoint of every
-step.  Both step through one unconditionally stable Crank-Nicolson driver
-with conjugate-gradient solves, norm non-increasing for positive
-semidefinite generators; I +- dt/2 L is applied matrix-free from the
-generator L, never formed.  Both frames precondition their solves by the
-zero-field Crank-Nicolson operator, inverted by one fast diagonalization:
-dense eigenvectors of the frame's axis operator on one axis, folded by
-parity into two half-size bases, and one factored tridiagonal solve along
-the other.  The frames differ only in that axis operator, which carries
-the confining x^2/16 in self-similar variables.
+Both frames use Crank-Nicolson, unconditionally stable and norm
+non-increasing for positive semidefinite generators.  The self-similar
+frame evolves the non-autonomous confined equation, whose generator is
+assembled once and updated in place at the midpoint of every step; it steps
+through one Crank-Nicolson loop with conjugate-gradient solves, I +- dt/2 L
+applied matrix-free from the generator L, preconditioned by the zero-field
+Crank-Nicolson operator.  That operator is inverted by one fast
+diagonalization: dense eigenvectors of the confined axis operator on one
+axis, folded by parity into two half-size bases, and one factored
+tridiagonal solve along the other.  The physical frame's generator is fixed,
+so its k-th Crank-Nicolson state is r(dt L)^k u_0, r(z) = (1 - z/2)/(1 + z/2):
+every recorded norm and boundary mass comes from one Lanczos run on L, by
+Gauss quadrature, with no linear solve on the grid.
 """
 
 from __future__ import annotations
@@ -21,18 +22,22 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import get_blas_funcs
 from scipy.linalg.lapack import dpttrf, dpttrs, zpttrs
 from scipy.sparse.linalg import LinearOperator, cg
 from scipy.special import logsumexp
 
-from .discretize import (Grid2D, assemble_magnetic, axis_parity_eigh, axis_tridiagonal,
-                         check_s_cap, peierls_phases, rewrite_hops)
+from .discretize import (Grid2D, assemble_magnetic, check_s_cap, harmonic_axis_parity_eigh,
+                         harmonic_axis_tridiagonal, peierls_phases, rewrite_hops)
 from .errors import BoundaryContaminationError, ConfigError, SolverConvergenceError
 
 CG_RTOL = 1e-10
 BOUNDARY_MASS_TOL = 1e-8
 BOUNDARY_RINGS = 2          # cells next to the wall that boundary_mass counts
 MAX_DS = 0.05               # largest self-similar step
+LANCZOS_CHECK = 10          # Lanczos steps between two physical norm curves
+LANCZOS_RTOL = 1e-13        # relative change between two norm curves that ends a Lanczos run
+LANCZOS_MAX_STEPS = 2000    # Lanczos steps within which the norm curve must settle
 
 
 @dataclass
@@ -131,35 +136,35 @@ def step_count(span, step):
     return round(ratio)
 
 
-def _fast_diagonalization(grid, dt, harmonic):
+def _fast_diagonalization(grid, dt):
     """P^{-1} for P = I + dt/2 (T (x) I + I (x) T), the zero-field
-    Crank-Nicolson operator of ``assemble_magnetic(.., harmonic)`` on ``grid``.
+    Crank-Nicolson operator of the confined generator on ``grid``.
 
-    T = tridiag(-1/h^2, 2/h^2 + q, -1/h^2) is the axis operator
-    (``axis_tridiagonal``), q = x^2/16 with ``harmonic`` and 0 without, and
-    T = V diag(w) V^T.  Applying V^T to axis 0 of r = vec(R) splits P into n
-    independent blocks, (1 + dt/2 w_i) I + dt/2 T for mode i, each symmetric
-    positive definite and tridiagonal along axis 1.  Stacked, they form one
-    tridiagonal of size n^2 whose off-diagonal is zero where a row of nodes
-    ends; it is factored once as L D L^T (LAPACK ?pttrf), so P^{-1} r is
-    V (pttrs(V^T R)).  T commutes with the flip of the axis, so V is never
-    formed: its even and odd columns come from two half-size eigenbases
-    (``axis_parity_eigh``), and V^T R is those bases applied to the sum and
-    the difference of R's top rows and its flipped bottom rows (the centre
-    row of an odd axis joins the even sum), the even modes stacked first.
+    T = tridiag(-1/h^2, 2/h^2 + x^2/16, -1/h^2) is the axis operator
+    (``harmonic_axis_tridiagonal``) and T = V diag(w) V^T.  Applying V^T to
+    axis 0 of r = vec(R) splits P into n independent blocks,
+    (1 + dt/2 w_i) I + dt/2 T for mode i, each symmetric positive definite
+    and tridiagonal along axis 1.  Stacked, they form one tridiagonal of
+    size n^2 whose off-diagonal is zero where a row of nodes ends; it is
+    factored once as L D L^T (LAPACK ?pttrf), so P^{-1} r is V (pttrs(V^T R)).
+    T commutes with the flip of the axis, so V is never formed: its even and
+    odd columns come from two half-size eigenbases
+    (``harmonic_axis_parity_eigh``), and V^T R is those bases applied to the
+    sum and the difference of R's top rows and its flipped bottom rows (the
+    centre row of an odd axis joins the even sum), the even modes stacked first.
     V x unfolds the same way: four half-size dense products and one
     tridiagonal solve per apply.  The bases are real, so complex data go
     through them as their interleaved real view, of shape (n, 2n): one real
     product per half and side, without copying the parts apart.
     """
     n, half = grid.n, dt / 2.0
-    (w_even, U_even), (w_odd, U_odd) = axis_parity_eigh(grid, harmonic)
+    (w_even, U_even), (w_odd, U_odd) = harmonic_axis_parity_eigh(grid)
     m, ne = n // 2, w_even.size
     # the 1/sqrt(2) of every folded row, so that fold and unfold are sums
     E, O = U_even.copy(), U_odd * math.sqrt(0.5)
     E[:m] *= math.sqrt(0.5)
     w = np.concatenate([w_even, w_odd])
-    axis_diag, _ = axis_tridiagonal(grid, harmonic)
+    axis_diag, _ = harmonic_axis_tridiagonal(grid)
     off = np.full(n * n - 1, -half / grid.h**2)
     off[n - 1::n] = 0.0         # no coupling across the end of a row
     d, e, info = dpttrf((1.0 + half * (w[:, None] + axis_diag)).ravel(), off,
@@ -213,6 +218,14 @@ def _cn_solver(matrix, dt, precondition):
     return solve
 
 
+def _working_values(matrix, values):
+    """``values`` in the generator's arithmetic: real data under a real
+    generator stay real."""
+    if not np.iscomplexobj(matrix) and not np.any(np.imag(values)):
+        return np.ascontiguousarray(values.real)
+    return values
+
+
 def _crank_nicolson(values, t, span, dt, matrix_at, record, precondition=None):
     """Crank-Nicolson steps of u' = -L(t) u over ``span`` from ``t``; returns
     ``record(values, t)`` at the start and after each step.  The solver is
@@ -227,52 +240,116 @@ def _crank_nicolson(values, t, span, dt, matrix_at, record, precondition=None):
         current = matrix_at(t + dt / 2.0)
         if current is not matrix:
             matrix, solve = current, _cn_solver(current, dt, precondition)
-            # real data under a real generator stay real
-            if not np.iscomplexobj(matrix) and not np.any(np.imag(values)):
-                values = np.ascontiguousarray(values.real)
+            values = _working_values(matrix, values)
         values = solve(values)
         t += dt
         points.append(record(values, t))
     return points
 
 
-def cn_step(op, state, dt):
-    """One Crank-Nicolson step of u' = -L u; unconditionally stable and norm
-    non-increasing for Hermitian positive semidefinite L."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    values = _crank_nicolson(state.values, state.time, dt, dt, lambda _: op.matrix,
-                             lambda v, _: v)[-1]
-    return replace(state, values=values, time=state.time + dt)
+def _ring_nodes(grid):
+    """Flat indices of the nodes within ``BOUNDARY_RINGS`` cells of the wall."""
+    n, k = grid.n, BOUNDARY_RINGS
+    ring = np.ones((n, n), dtype=bool)
+    ring[k:n - k, k:n - k] = False
+    return np.flatnonzero(ring)
+
+
+def _tridiagonal_cn(alpha, beta, dt, n_steps):
+    """Rows c_k = r(dt T)^k e_1, k = 0..n_steps, of Crank-Nicolson on the Lanczos
+    tridiagonal T = tridiag(beta, alpha, beta), with one ?pttrf factor.
+    |c_k| is the Gauss quadrature of |r(dt L)^k u_0| / |u_0|; stepped, it
+    settles to 1e-15 as T grows, where the eigen form sum_j S_1j^2
+    r(dt theta_j)^{2k} stalls at a few 1e-13."""
+    half = dt / 2.0
+    # ?pttrf takes one off-diagonal entry even for a 1 x 1 matrix
+    d, e, info = dpttrf(1.0 + half * alpha, half * beta if beta.size else np.zeros(1))
+    if info != 0:
+        raise SolverConvergenceError(f"Lanczos tridiagonal factor failed (pttrf info={info})")
+    coeffs = np.zeros((n_steps + 1, alpha.size))
+    coeffs[0, 0] = 1.0
+    for k in range(n_steps):
+        c = coeffs[k]
+        rhs = (1.0 - half * alpha) * c
+        rhs[:-1] -= half * beta * c[1:]
+        rhs[1:] -= half * beta * c[:-1]
+        coeffs[k + 1], _ = dpttrs(d, e, rhs, overwrite_b=1)
+    return coeffs
+
+
+def _lanczos_norms(matrix, values, dt, n_steps, ring):
+    """Norms |u_k| and ring fractions |u_k[ring]|^2 / |u_k|^2 of the states
+    u_k = r(dt L)^k u_0, k = 0..n_steps, from one Lanczos run on L.
+
+    Without reorthogonalization the Gauss quadrature stays accurate in
+    finite precision (Golub & Strakos 1994).  The run stops once two curves
+    ``LANCZOS_CHECK`` steps apart agree to ``LANCZOS_RTOL`` at every k, or at
+    an exact breakdown.  ``Q_ring`` keeps the ring entries of each Lanczos
+    vector, so the ring of u_k is |u_0| Q_ring^T c_k and one Gram matrix gives
+    every ring mass.  The states converge more slowly than their norms: at
+    the stop the ring shares |u_k[ring]| / |u_k| are a few 1e-10 from
+    stepped Crank-Nicolson, far below what ``BOUNDARY_MASS_TOL`` needs.
+    """
+    norm0 = float(np.linalg.norm(values))
+    if norm0 == 0.0:
+        return np.zeros(n_steps + 1), np.zeros(n_steps + 1)
+    q = (values / norm0).astype(np.result_type(matrix.dtype, values.dtype), copy=False)
+    axpy, nrm2, scal = get_blas_funcs(("axpy", "nrm2", "scal"), (q,))
+    Q_ring = np.empty((LANCZOS_MAX_STEPS, ring.size), dtype=q.dtype)
+    alpha, beta = np.empty(LANCZOS_MAX_STEPS), np.empty(LANCZOS_MAX_STEPS)
+    curve = None
+    for m in range(1, LANCZOS_MAX_STEPS + 1):
+        Q_ring[m - 1] = q[ring]
+        w = matrix @ q          # the one new vector of the step; the rest is in place
+        if m > 1:
+            w = axpy(q_prev, w, a=-beta[m - 2])
+        alpha[m - 1] = np.vdot(q, w).real
+        w = axpy(q, w, a=-alpha[m - 1])
+        beta[m - 1] = nrm2(w)
+        breakdown = beta[m - 1] <= np.finfo(float).eps * abs(alpha[m - 1])
+        if breakdown or m % LANCZOS_CHECK == 0:
+            coeffs = _tridiagonal_cn(alpha[:m], beta[:m - 1], dt, n_steps)
+            previous, curve = curve, np.linalg.norm(coeffs, axis=1)
+            if breakdown or (previous is not None
+                             and np.all(np.abs(curve - previous) <= LANCZOS_RTOL * curve)):
+                rows = Q_ring[:m].view(np.float64)   # Re(a^H b) is the dot of the real views
+                ring_mass = np.maximum(np.sum((coeffs @ (rows @ rows.T)) * coeffs, axis=1), 0.0)
+                fraction = np.divide(ring_mass, curve**2, out=np.zeros_like(curve),
+                                     where=curve > 0.0)
+                return norm0 * curve, fraction
+        q_prev, q = q, scal(1.0 / beta[m - 1], w)
+    raise SolverConvergenceError(
+        f"Lanczos norm curve did not settle within {LANCZOS_MAX_STEPS} steps")
 
 
 def evolve_physical(field, u0, t_final, dt):
     """Evolve the magnetic heat equation in physical variables.
 
-    Records the plain norm at every step and the weighted norm of the initial
-    datum; aborts with a diagnostic when mass reaches the Dirichlet wall.
-    Every CG solve is preconditioned by the free Crank-Nicolson operator,
-    inverted by fast diagonalization: exact without a field, where CG stops
-    after one iteration per step.
+    Records the plain norm of the Crank-Nicolson states at every step and
+    the weighted norm of the initial datum; aborts with a diagnostic at the
+    first step whose mass reaches the Dirichlet wall.  The generator L does
+    not change, so the k-th state is r(dt L)^k u_0 and every norm and ring
+    mass comes from one Lanczos run on L (``_lanczos_norms``), with no
+    linear solve on the grid.
     """
     if u0.frame != "physical":
         raise ValueError("initial state must be in the physical frame")
     if t_final <= 0.0 or dt <= 0.0:
         raise ValueError("t_final and dt must be positive")
     grid = u0.grid
+    n_steps = step_count(t_final - u0.time, dt)
     matrix = assemble_magnetic(peierls_phases(grid, field), harmonic=False).matrix
-
-    def record(values, t):
-        state = StateVector(grid=grid, values=values, time=t, frame="physical")
-        bm = state.boundary_mass()
+    norms, fractions = _lanczos_norms(matrix, _working_values(matrix, u0.values), dt,
+                                      n_steps, _ring_nodes(grid))
+    points, t = [], u0.time
+    for norm, bm in zip(norms, fractions):
         if bm > BOUNDARY_MASS_TOL:
             raise BoundaryContaminationError(
                 f"boundary mass {bm:.2e} exceeded {BOUNDARY_MASS_TOL:.0e} at t = {t:.3f}; "
                 "enlarge the domain")
-        return TrajectoryPoint(time=t, l2_norm=state.norm(), k_norm=None, boundary_mass=bm)
-
-    points = _crank_nicolson(u0.values, u0.time, t_final - u0.time, dt, lambda _: matrix,
-                             record, precondition=_fast_diagonalization(grid, dt, False))
+        points.append(TrajectoryPoint(time=t, l2_norm=float(norm) * grid.h, k_norm=None,
+                                      boundary_mass=float(bm)))
+        t += dt
     points[0] = replace(points[0], k_norm=weighted_norm(u0))
     return NormTrajectory(frame="physical", points=points)
 
@@ -328,7 +405,7 @@ def evolve_selfsimilar(field, v0, s_final, ds):
                                boundary_mass=state.boundary_mass())
 
     points = _crank_nicolson(v0.values, v0.time, s_final - v0.time, ds, matrix_at, record,
-                             precondition=_fast_diagonalization(grid, ds, True))
+                             precondition=_fast_diagonalization(grid, ds))
     return NormTrajectory(frame="self-similar", points=points)
 
 

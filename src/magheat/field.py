@@ -267,11 +267,6 @@ def alpha_batch(field, r, theta):
     return out
 
 
-def alpha_infinity(field, theta):
-    """Limit of alpha(r, theta) as r -> infinity, attained at the support radius."""
-    return alpha_batch(field, field.support_radius, theta)
-
-
 def total_flux(field):
     """Total flux (1/2pi) int B dx: the sum of the components' exact moments."""
     return sum(comp.flux() for comp in field.components)

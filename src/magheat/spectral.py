@@ -1,6 +1,5 @@
 """Smallest eigenvalues of the assembled operators: the lambda(s) curve, its
-limit estimate, the variational upper bound, the Hardy constant and the
-infimum gap above 1/2."""
+limit estimate, the Hardy constant and the infimum gap above 1/2."""
 
 from __future__ import annotations
 
@@ -15,7 +14,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh, lobpcg, splu
 from .discretize import (DiscreteOperator, assemble_magnetic, build_grid, check_s_cap,
                          harmonic_axis_eigh, peierls_phases)
 from .errors import SolverConvergenceError
-from .field import alpha_batch, alpha_infinity, beta_of
+from .field import beta_of
 
 DIAMAGNETIC_SLACK = 1e-9    # floor tolerance of the discrete diamagnetic bound
 SHIFT_BELOW_FLOOR = 0.05    # lambda_curve's shift-invert shift sits this far below the floor
@@ -277,78 +276,6 @@ def lambda_limit_estimate(samples):
     design = np.vstack([x, np.ones_like(x)]).T
     (_, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
     return float(intercept)
-
-
-def variational_upper_bound(field, s, n, r_infinity=30.0, theta_points=64):
-    """Rayleigh quotient of the logarithmically cut off trial state.
-
-    The trial function is the confined ground profile e^{-r^2/8} times the
-    cutoff vanishing like log(n^2 r)/log(n) on [1/n^2, 1/n], carrying the
-    angular phase e^{i int_0^theta alpha_inf}; an upper bound for lambda(s)
-    up to quadrature error by the variational principle.
-    """
-    # imported here: scipy.integrate loads scipy.optimize, and no run calls this oracle
-    from scipy.integrate import quad
-
-    if n < 2:
-        raise ValueError("cutoff index n must be >= 2")
-    ln = math.log(n)
-    lo, hi = 1.0 / n**2, 1.0 / n
-    breakpoints = sorted({lo, hi, min(field.support_radius * math.exp(-s / 2.0), r_infinity / 2)})
-
-    def phi2(r):
-        return math.exp(-r * r / 4.0)
-
-    def eta(r):
-        if r <= lo:
-            return 0.0
-        if r >= hi:
-            return 1.0
-        return math.log(n * n * r) / ln
-
-    def eta_prime(r):
-        if lo < r < hi:
-            return 1.0 / (r * ln)
-        return 0.0
-
-    def dphi(r):
-        return -(r / 4.0) * math.exp(-r * r / 8.0)
-
-    def radial_kinetic(r):
-        return (dphi(r) * eta(r) + math.exp(-r * r / 8.0) * eta_prime(r)) ** 2 * r
-
-    def harmonic_term(r):
-        return phi2(r) * eta(r) ** 2 * r**3 / 16.0
-
-    def norm_term(r):
-        return phi2(r) * eta(r) ** 2 * r
-
-    pts = [p for p in breakpoints if 0 < p < r_infinity]
-    t1, _ = quad(radial_kinetic, 0.0, r_infinity, points=pts, limit=400,
-                 epsabs=1e-12, epsrel=1e-10)
-    t3, _ = quad(harmonic_term, 0.0, r_infinity, points=pts, limit=400,
-                 epsabs=1e-12, epsrel=1e-10)
-    den, _ = quad(norm_term, 0.0, r_infinity, points=pts, limit=400,
-                  epsabs=1e-12, epsrel=1e-10)
-
-    # angular mismatch |alpha_inf(theta) - alpha(e^{s/2} r, theta)|^2 / r
-    nodes, weights = np.polynomial.legendre.leggauss(theta_points)
-    thetas = math.pi * (nodes + 1.0)
-    w_theta = math.pi * weights
-    a_inf = alpha_infinity(field, thetas)
-    scale = math.exp(s / 2.0)
-
-    def mismatch(r):
-        vals = alpha_batch(field, np.full_like(thetas, scale * r), thetas)
-        return float(np.sum(w_theta * (a_inf - vals) ** 2)) * phi2(r) * eta(r) ** 2 / r
-
-    support_scaled = field.support_radius / scale
-    t2, _ = quad(mismatch, lo, max(support_scaled, hi) * 1.001,
-                 points=[p for p in (hi, support_scaled) if lo < p], limit=400,
-                 epsabs=1e-11, epsrel=1e-9)
-
-    numerator = 2.0 * math.pi * (t1 + t3) + t2
-    return numerator / (2.0 * math.pi * den)
 
 
 def hardy_constant(field, r_dom, n, seed=0):

@@ -9,9 +9,7 @@ PACKAGE = Path(magheat.__file__).parent
 
 # exported names that no run calls but tests use as independent oracles
 ORACLES = {
-    "variational_upper_bound": "upper bound on lambda in test_variational_bound_dominates_lambda",
     "assemble_radial_channel": "1-D channel reference in test_radial_two_dim_consistency",
-    "cn_step": "scalar Pade and random-PSD contraction checks of the Crank-Nicolson driver",
 }
 
 
@@ -48,8 +46,8 @@ def test_every_export_has_a_caller_in_the_package():
 
 
 def test_import_loads_neither_integrate_optimize_nor_fft():
-    # scipy.integrate pulls in scipy.optimize; the two functions that use its
-    # quad import it themselves, so every other run starts without either;
+    # scipy.integrate pulls in scipy.optimize; the one function that uses its
+    # quad imports it itself, so every other run starts without either;
     # no module transforms by FFT, so none loads scipy.fft
     code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import magheat; "
             "print(sorted({m.split('.')[1] for m in sys.modules "

