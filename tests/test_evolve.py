@@ -88,16 +88,43 @@ def _run(frame, field, steps):
     return mh.evolve_selfsimilar(field, v0, 0.05 * steps, 0.05)
 
 
-@pytest.mark.parametrize("frame", ["self-similar"])
+def _record_lanczos(monkeypatch, seen):
+    """Record in ``seen`` the dtype of every vector the physical Lanczos run
+    applies the generator to."""
+    import magheat.evolve as ev
+
+    inner = ev._lanczos_norms
+
+    class Recording:
+        def __init__(self, matrix):
+            self.matrix, self.dtype = matrix, matrix.dtype
+
+        def __matmul__(self, v):
+            seen.append(v.dtype)
+            return self.matrix @ v
+
+    monkeypatch.setattr(ev, "_lanczos_norms",
+                        lambda matrix, *args: inner(Recording(matrix), *args))
+
+
+@pytest.mark.parametrize("frame", ["physical", "self-similar"])
 def test_cg_dtype_follows_the_generator(monkeypatch, zero_field, step_half, frame):
-    # zero-field runs solve in real arithmetic, fielded runs in complex; the
-    # physical frame solves nothing (test_lanczos_dtype_follows_the_generator)
-    seen = []
-    _spy(monkeypatch, "cg", seen, lambda matrix, rhs: rhs.dtype)
+    # zero-field runs work in real arithmetic, fielded runs in complex: every
+    # CG right-hand side in the self-similar frame; the physical frame makes
+    # no CG solve, and every vector its Lanczos run applies L to has the dtype
+    solved, applied = [], []
+    _spy(monkeypatch, "cg", solved, lambda matrix, rhs: rhs.dtype)
+    _record_lanczos(monkeypatch, applied)
     for field, dtype in ((zero_field, np.float64), (step_half, np.complex128)):
-        seen.clear()
+        solved.clear()
+        applied.clear()
         _run(frame, field, 3)
-        assert seen == [np.dtype(dtype)] * 3
+        if frame == "physical":
+            assert solved == []
+            assert applied and set(applied) == {np.dtype(dtype)}
+        else:
+            assert solved == [np.dtype(dtype)] * 3
+            assert applied == []
 
 
 def _cg_calls(monkeypatch):
@@ -146,6 +173,26 @@ def test_selfsimilar_preconditioned_step_matches_direct_solve(monkeypatch, step_
     assert np.linalg.norm(call["out"] - direct) <= 1e-9 * np.linalg.norm(direct)
 
 
+def test_physical_preconditioned_step_matches_direct_solve(monkeypatch, step_half):
+    # one physical Crank-Nicolson step, now read from the Lanczos quadrature
+    # with no CG solve: its norm and ring share against a direct sparse solve
+    from scipy.sparse.linalg import spsolve
+
+    calls = _cg_calls(monkeypatch)
+    grid = mh.build_grid(6.0, 64)
+    u0 = mh.gaussian_state(grid, 1.0)
+    traj = mh.evolve_physical(step_half, u0, 0.1, 0.1)
+    assert calls == []
+    L = mh.assemble_magnetic(mh.peierls_phases(grid, step_half), harmonic=False).matrix
+    eye = sp.identity(grid.size, format="csc")
+    direct = mh.StateVector(
+        grid=grid, values=spsolve((eye + 0.05 * L).tocsc(), (eye - 0.05 * L) @ u0.values),
+        time=0.1, frame="physical")
+    assert traj.l2_norms[1] == pytest.approx(direct.norm(), rel=1e-9, abs=0.0)
+    share = math.sqrt(traj.points[1].boundary_mass)
+    assert abs(share - math.sqrt(direct.boundary_mass())) <= 1e-9
+
+
 @pytest.mark.parametrize("harmonic", [True])     # the confined generator, the only one
 @pytest.mark.parametrize("n", [16, 17, 18])
 def test_fast_diagonalization_inverts_the_zero_field_operator(zero_field, rng, n, harmonic):
@@ -189,25 +236,32 @@ def test_preconditioner_matches_full_diagonalization(rng, n, dt, harmonic):
         assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
-@pytest.mark.parametrize("evolve", [{"frame": "self-similar", "s_final": 0.1, "ds": 0.05}],
-                         ids=["self-similar"])
+@pytest.mark.parametrize("evolve", [{"frame": "self-similar", "s_final": 0.1, "ds": 0.05},
+                                    {"frame": "physical", "t_final": 0.2, "dt": 0.1}],
+                         ids=["self-similar", "physical"])
 def test_preconditioner_factor_failure_is_typed(monkeypatch, capsys, tmp_path, evolve):
-    # P is positive definite, so its LDL^T factor cannot fail; if it reports
+    # P, and in the physical frame I + dt/2 T of the Lanczos tridiagonal, is
+    # positive definite, so its LDL^T factor cannot fail; if it reports
     # failure anyway the run stops with a solver error (exit 1), not a wrong
-    # inverse
+    # inverse or a wrong norm curve
     import magheat.evolve as ev
     from magheat.cli import main
     from magheat.harness import ZERO_FIELD, ExperimentConfig
 
+    physical = evolve["frame"] == "physical"
     monkeypatch.setattr(ev, "dpttrf", lambda d, e, **_: (d, e, 1))
     with pytest.raises(SolverConvergenceError, match="info=1"):
-        ev._fast_diagonalization(mh.build_grid(4.0, 16), 0.1)
+        if physical:
+            ev._tridiagonal_cn(np.full(3, 2.0), np.full(2, -1.0), 0.1, 4)
+        else:
+            ev._fast_diagonalization(mh.build_grid(4.0, 16), 0.1)
     cfg = ExperimentConfig(kind="evolve", label="factor", field=ZERO_FIELD,
                            grid={"r_dom": 4.0, "n": 16}, evolve=evolve)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(cfg.to_json())
     assert main(["evolve", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
-    assert "preconditioner factor failed" in capsys.readouterr().err
+    failed = "Lanczos tridiagonal" if physical else "preconditioner"
+    assert f"{failed} factor failed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("datum", ["gaussian", "shifted", "odd"])
@@ -233,29 +287,6 @@ def test_lanczos_matches_crank_nicolson_stepping(request, field_name, datum):
     shares = np.sqrt([u.boundary_mass() for u in stepped])
     assert shares.max() > 0.02
     assert np.all(np.abs(np.sqrt(fractions) - shares) <= 1e-9)
-
-
-def test_lanczos_dtype_follows_the_generator(monkeypatch, zero_field, step_half):
-    # every vector the Lanczos run applies the generator to is real without a
-    # field, complex with one
-    import magheat.evolve as ev
-
-    inner, seen = ev._lanczos_norms, set()
-
-    class Recording:
-        def __init__(self, matrix):
-            self.matrix, self.dtype = matrix, matrix.dtype
-
-        def __matmul__(self, v):
-            seen.add(v.dtype)
-            return self.matrix @ v
-
-    monkeypatch.setattr(ev, "_lanczos_norms",
-                        lambda matrix, *args: inner(Recording(matrix), *args))
-    for field, dtype in ((zero_field, np.float64), (step_half, np.complex128)):
-        seen.clear()
-        _run("physical", field, 3)
-        assert seen == {np.dtype(dtype)}
 
 
 def test_lanczos_breakdown_ends_the_run_exactly(monkeypatch, rng):
