@@ -25,7 +25,6 @@ import numpy as np
 from scipy.linalg import get_blas_funcs
 from scipy.linalg.lapack import dpttrf, dpttrs, zpttrs
 from scipy.sparse.linalg import LinearOperator, cg
-from scipy.special import logsumexp
 
 from .discretize import (Grid2D, assemble_magnetic, check_s_cap, harmonic_axis_parity_eigh,
                          harmonic_axis_tridiagonal, peierls_phases, rewrite_hops)
@@ -38,6 +37,7 @@ MAX_DS = 0.05               # largest self-similar step
 LANCZOS_CHECK = 10          # Lanczos steps between two physical norm curves
 LANCZOS_RTOL = 1e-13        # relative change between two norm curves that ends a Lanczos run
 LANCZOS_MAX_STEPS = 2000    # Lanczos steps within which the norm curve must settle
+_CN_ROW_BLOCK = 256         # rows c_k per block of the Lanczos curve and ring-mass passes
 
 
 @dataclass
@@ -125,7 +125,9 @@ def weighted_norm(state):
     if min(ix, iy, n - 1 - ix, n - 1 - iy) < 2:
         warnings.warn("weighted-norm integrand still grows at the domain boundary",
                       RuntimeWarning, stacklevel=2)
-    return float(math.exp(0.5 * logsumexp(logs)))
+    # log-sum-exp shifted by the largest term, so no term overflows
+    top = logs[peak]
+    return float(math.exp(0.5 * (top + math.log(np.sum(np.exp(logs - top))))))
 
 
 def step_count(span, step):
@@ -260,21 +262,34 @@ def _tridiagonal_cn(alpha, beta, dt, n_steps):
     tridiagonal T = tridiag(beta, alpha, beta), with one ?pttrf factor.
     |c_k| is the Gauss quadrature of |r(dt L)^k u_0| / |u_0|; stepped, it
     settles to 1e-15 as T grows, where the eigen form sum_j S_1j^2
-    r(dt theta_j)^{2k} stalls at a few 1e-13."""
+    r(dt theta_j)^{2k} stalls at a few 1e-13.  Returns ``blocks``: each call
+    steps the rows afresh and yields them ``_CN_ROW_BLOCK`` at a time, in one
+    reused array, so no pass holds more than that many rows."""
     half = dt / 2.0
     # ?pttrf takes one off-diagonal entry even for a 1 x 1 matrix
     d, e, info = dpttrf(1.0 + half * alpha, half * beta if beta.size else np.zeros(1))
     if info != 0:
         raise SolverConvergenceError(f"Lanczos tridiagonal factor failed (pttrf info={info})")
-    coeffs = np.zeros((n_steps + 1, alpha.size))
-    coeffs[0, 0] = 1.0
-    for k in range(n_steps):
-        c = coeffs[k]
-        rhs = (1.0 - half * alpha) * c
-        rhs[:-1] -= half * beta * c[1:]
-        rhs[1:] -= half * beta * c[:-1]
-        coeffs[k + 1], _ = dpttrs(d, e, rhs, overwrite_b=1)
-    return coeffs
+    diagonal, off = 1.0 - half * alpha, half * beta
+
+    def blocks():
+        block = np.empty((min(n_steps + 1, _CN_ROW_BLOCK), alpha.size))
+        c = np.zeros(alpha.size)
+        c[0] = 1.0
+        filled = 0
+        for k in range(n_steps + 1):
+            if k:
+                rhs = diagonal * c
+                rhs[:-1] -= off * c[1:]
+                rhs[1:] -= off * c[:-1]
+                c, _ = dpttrs(d, e, rhs, overwrite_b=1)
+            block[filled] = c
+            filled += 1
+            if filled == block.shape[0] or k == n_steps:
+                yield block[:filled]
+                filled = 0
+
+    return blocks
 
 
 def _lanczos_norms(matrix, values, dt, n_steps, ring):
@@ -289,6 +304,9 @@ def _lanczos_norms(matrix, values, dt, n_steps, ring):
     every ring mass.  The states converge more slowly than their norms: at
     the stop the ring shares |u_k[ring]| / |u_k| are a few 1e-10 from
     stepped Crank-Nicolson, far below what ``BOUNDARY_MASS_TOL`` needs.
+    Every check reduces the rows c_k block by block to their norms, and the
+    last one steps them once more for the ring masses, so beyond the curves
+    themselves the memory is ``_CN_ROW_BLOCK`` x m + m^2 whatever n_steps.
     """
     norm0 = float(np.linalg.norm(values))
     if norm0 == 0.0:
@@ -308,14 +326,16 @@ def _lanczos_norms(matrix, values, dt, n_steps, ring):
         beta[m - 1] = nrm2(w)
         breakdown = beta[m - 1] <= np.finfo(float).eps * abs(alpha[m - 1])
         if breakdown or m % LANCZOS_CHECK == 0:
-            coeffs = _tridiagonal_cn(alpha[:m], beta[:m - 1], dt, n_steps)
-            previous, curve = curve, np.linalg.norm(coeffs, axis=1)
+            blocks = _tridiagonal_cn(alpha[:m], beta[:m - 1], dt, n_steps)
+            previous = curve
+            curve = np.concatenate([np.linalg.norm(c, axis=1) for c in blocks()])
             if breakdown or (previous is not None
                              and np.all(np.abs(curve - previous) <= LANCZOS_RTOL * curve)):
                 rows = Q_ring[:m].view(np.float64)   # Re(a^H b) is the dot of the real views
-                ring_mass = np.maximum(np.sum((coeffs @ (rows @ rows.T)) * coeffs, axis=1), 0.0)
-                fraction = np.divide(ring_mass, curve**2, out=np.zeros_like(curve),
-                                     where=curve > 0.0)
+                gram = rows @ rows.T
+                ring_mass = np.concatenate([np.sum((c @ gram) * c, axis=1) for c in blocks()])
+                fraction = np.divide(np.maximum(ring_mass, 0.0), curve**2,
+                                     out=np.zeros_like(curve), where=curve > 0.0)
                 return norm0 * curve, fraction
         q_prev, q = q, scal(1.0 / beta[m - 1], w)
     raise SolverConvergenceError(

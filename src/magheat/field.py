@@ -36,17 +36,28 @@ ALPHA_TOL = 1e-10   # absolute tolerance of radial line integrals
 
 _GL64_NODES, _GL64_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _GL64_UNIT = 0.5 * (_GL64_NODES + 1.0)   # the nodes mapped onto [0, 1]
-_RAY_BLOCK = 1024   # rays per block of the off-centre quadrature in alpha_batch
+# rows 1, x, x^2 at the nodes x: a ray's quadratic in x times these is its
+# 1 - u^2 at every node
+_GL64_POWERS = np.vstack([np.ones_like(_GL64_UNIT), _GL64_UNIT, _GL64_UNIT**2])
+# columns W, W x: the rule's weights without and with the factor x of tau
+_GL64_MOMENTS = np.column_stack([_GL64_WEIGHTS, _GL64_WEIGHTS * _GL64_UNIT])
+# the floor of z = 1 - u^2 in the off-centre bump: below it the bump
+# exp(1 - 1/z) is under e^{1 - 700}, about 2.7e-304, so the clamp moves alpha
+# by less than 1e-300, and it keeps every exp off its slow underflow path
+_BUMP_Z_FLOOR = 1.0 / 700.0
+# rays per block of the off-centre bump quadrature, so that its one scratch
+# array is 1024 x 64 doubles (0.5 MB) whatever the number of points
+_RAY_BLOCK = 1024
 
 
-def _profile_sq(profile, u2, out=None):
-    """Reference profile as a function of u^2 = (|x - c| / R)^2, into ``out`` if given.
+def _profile_sq(profile, u2):
+    """Reference profile as a function of u^2 = (|x - c| / R)^2.
 
     "step" is 1 on the open unit disc, "bump" is exp(1 - 1/(1 - u^2)) there;
     both vanish for u^2 >= 1.  Clamping 1 - u^2 at 0 instead of masking keeps
     the bump finite (exactly 0) on and beyond the rim.
     """
-    out = np.empty(np.shape(u2)) if out is None else out
+    out = np.empty(np.shape(u2))
     if profile == "step":
         return np.less(u2, 1.0, out=out)
     np.maximum(np.subtract(1.0, u2, out=out), 0.0, out=out)
@@ -211,21 +222,29 @@ def alpha_batch(field, r, theta):
 
     Vectorized over broadcastable arrays of (r, theta), and the one place
     alpha is computed.  Centred components have a closed form in r alone.
-    Off-centre ones use 64-node Gauss-Legendre along each ray over its chord
-    [t0, t1] through the component disc, where the integrand is a smooth bump
-    and 64 nodes sit far below ``ALPHA_TOL``.  With b = c . (cos, sin) the
-    integrand is evaluated in chord coordinates,
-    |tau (cos, sin) - c|^2 = tau^2 - 2 b tau + |c|^2, so no Cartesian node is
-    formed; rays whose chord has zero width are skipped, and the rest run in
-    blocks of ``_RAY_BLOCK`` rows, so the scratch space is a few small
-    (block x 64) arrays whatever the number of points.  cos and sin of theta
-    are only taken when an off-centre component needs them; for radial fields
-    they would double the cost of the gauge potential.
+    Off-centre ones integrate over each ray's chord [t0, t0 + w] through the
+    component disc; rays whose chord has zero width are skipped.  With
+    b = c . (cos, sin), p = c x (cos, sin) and disc = (R - p)(R + p), the
+    chord's half-width squared, a step's chord integral is exactly
+    A w (t0 + w/2).  A bump uses 64-node Gauss-Legendre over the
+    chord, where the integrand is smooth and 64 nodes sit far below
+    ``ALPHA_TOL``.  At tau = t0 + w x, x in [0, 1], 1 - u^2 is the quadratic
+    ((disc - s0^2) - 2 s0 w x - w^2 x^2) / R^2, s0 = t0 - b, so a block of
+    ``_RAY_BLOCK`` rays forms it at every node with one (rows x 3) @ (3 x 64)
+    product, clamps it at ``_BUMP_Z_FLOOR`` and takes exp(-1/z) in place;
+    one (rows x 64) @ (64 x 2) product with the columns W, W x then gives
+    the moments m0, m1, and the ray adds (A e / 2) w (t0 m0 + w m1).  The
+    scratch space is one block x 64 array, beside a few arrays of one number
+    per point, whatever the number of points.
+    cos and sin of theta are only taken when an off-centre component needs
+    them; for radial fields they would double the cost of the gauge
+    potential.
     """
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     r, theta = np.broadcast_arrays(r, theta)
     out = np.zeros(r.shape)
+    flat = out.reshape(-1)
     direction = None
     for comp in field.components:
         if comp.amplitude == 0.0:
@@ -238,32 +257,41 @@ def alpha_batch(field, r, theta):
                 out += comp.amplitude * rc * rc * _bump_cumulative_ratio(rc / comp.radius)
             continue
         if direction is None:
-            direction = np.cos(theta), np.sin(theta)
+            direction = np.cos(theta).ravel(), np.sin(theta).ravel()
         cos_t, sin_t = direction
         cx, cy = comp.center
-        c2 = cx * cx + cy * cy
         b = cx * cos_t + cy * sin_t
-        disc = b * b - (c2 - comp.radius**2)
+        # disc = R^2 - p^2 from the distance p of the centre to the ray's line:
+        # b^2 - |c|^2 + R^2 would lose eps (|c|/R)^2 of 1 - u^2 to cancellation
+        p = cx * sin_t - cy * cos_t
+        disc = (comp.radius - p) * (comp.radius + p)
         sq = np.sqrt(np.maximum(disc, 0.0))
         t0 = np.maximum(b - sq, 0.0)
-        width = np.minimum(b + sq, r) - t0
+        width = np.minimum(b + sq, r.ravel()) - t0
         # a NaN r is kept, so that it propagates as in the closed form
         hit = np.flatnonzero((disc > 0.0) & ~(width <= 0.0))
-        b, t0, width = b.ravel(), t0.ravel(), width.ravel()
-        flat = out.reshape(-1)
-        buffers = np.empty((2, min(hit.size, _RAY_BLOCK), _GL64_UNIT.size))
+        if comp.profile == "step":
+            t0, width = t0[hit], width[hit]
+            flat[hit] += comp.amplitude * width * (t0 + 0.5 * width)
+            continue
+        # per block: the quadratic's coefficients, z at every node, the moments
+        size = min(hit.size, _RAY_BLOCK)
+        coeffs, nodes, moments = (np.empty((size, k)) for k in (3, _GL64_UNIT.size, 2))
         for start in range(0, hit.size, _RAY_BLOCK):
             rows = hit[start:start + _RAY_BLOCK]
-            tau, u2 = buffers[:, :rows.size]
-            np.multiply(width[rows, None], _GL64_UNIT, out=tau)
-            tau += t0[rows, None]
-            np.subtract(tau, 2.0 * b[rows, None], out=u2)
-            u2 *= tau
-            u2 += c2
-            u2 /= comp.radius**2
-            vals = _profile_sq(comp.profile, u2, out=u2)
-            vals *= tau
-            flat[rows] += (0.5 * comp.amplitude) * width[rows] * (vals @ _GL64_WEIGHTS)
+            c, z, m = coeffs[:rows.size], nodes[:rows.size], moments[:rows.size]
+            t0_r, w = t0[rows], width[rows]
+            s0 = t0_r - b[rows]
+            np.subtract(disc[rows], s0 * s0, out=c[:, 0])
+            np.multiply(-2.0 * s0, w, out=c[:, 1])
+            np.multiply(-w, w, out=c[:, 2])
+            c /= comp.radius**2
+            np.matmul(c, _GL64_POWERS, out=z)
+            np.maximum(z, _BUMP_Z_FLOOR, out=z)
+            np.divide(-1.0, z, out=z)
+            np.exp(z, out=z)
+            np.matmul(z, _GL64_MOMENTS, out=m)
+            flat[rows] += (0.5 * math.e * comp.amplitude) * w * (t0_r * m[:, 0] + w * m[:, 1])
     return out
 
 

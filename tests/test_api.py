@@ -48,10 +48,12 @@ def test_every_export_has_a_caller_in_the_package():
 def test_import_loads_neither_integrate_optimize_nor_fft():
     # scipy.integrate pulls in scipy.optimize; the one function that uses its
     # quad imports it itself, so every other run starts without either;
-    # no module transforms by FFT, so none loads scipy.fft
+    # no module transforms by FFT, so none loads scipy.fft; the weighted norm
+    # takes its log-sum-exp in numpy, so none loads scipy.special, which
+    # costs about 0.1 s and 3-4 MB at start-up
     code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import magheat; "
-            "print(sorted({m.split('.')[1] for m in sys.modules "
-            "if m.startswith(('scipy.integrate', 'scipy.optimize', 'scipy.fft'))}))")
+            "print(sorted({m.split('.')[1] for m in sys.modules if m.startswith("
+            "('scipy.integrate', 'scipy.optimize', 'scipy.fft', 'scipy.special'))}))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"

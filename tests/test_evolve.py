@@ -308,6 +308,32 @@ def test_lanczos_breakdown_ends_the_run_exactly(monkeypatch, rng):
     assert np.allclose(fractions, 1.0, rtol=1e-12)
 
 
+def test_lanczos_memory_does_not_grow_with_steps_times_krylov_size(monkeypatch, step_half):
+    # a long run on a small grid: the rows c_k are reduced block by block, so
+    # the peak grows with the step count by the curves alone, a few doubles
+    # per step, where an (n_steps + 1) x m table of rows takes m per step
+    import tracemalloc
+
+    from magheat.evolve import _lanczos_norms, _ring_nodes, _working_values
+
+    sizes = []
+    _spy(monkeypatch, "_tridiagonal_cn", sizes, lambda alpha, *_: alpha.size)
+    grid = mh.build_grid(6.0, 16)
+    matrix = mh.assemble_magnetic(mh.peierls_phases(grid, step_half), harmonic=False).matrix
+    values = _working_values(matrix, mh.gaussian_state(grid, 1.0).values)
+    peaks = {}
+    for steps in (10, 4000):
+        tracemalloc.start()
+        try:
+            norms, _ = _lanczos_norms(matrix, values, 0.01, steps, _ring_nodes(grid))
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert norms.shape == (steps + 1,)
+    assert sizes[-1] >= 32
+    assert peaks[4000] - peaks[10] < 16 * 8 * (4000 - 10)
+
+
 def test_lanczos_steps_on_the_benchmark_grid(monkeypatch, step_half):
     # the evolve-physical benchmark run (r_dom 16, n 255, dt 0.1, 20 steps):
     # its norm curve settles after 120 Lanczos steps

@@ -11,7 +11,7 @@ import magheat as mh
 from magheat.errors import PresetError
 from magheat.field import (ALPHA_TOL, BUMP_FLUX_UNIT, FieldComponent, MagneticField,
                            _bump_cumulative_ratio, alpha_batch, flux_at)
-from oracles import alpha_infinity
+from oracles import alpha_infinity, alpha_node_by_node
 
 
 def alpha_oracle(field, r, theta):
@@ -173,6 +173,48 @@ def test_alpha_batch_matches_scalar(step_half, bump_field, offset_bump, dipole, 
         scalar = np.array([alpha_oracle(f, ri, ti) for ri, ti in pairs])
         assert np.max(np.abs(batch - scalar)) < 1e-10
         assert np.all(batch[r == 0.0] == 0.0)
+
+
+def test_alpha_batch_equals_the_rule_node_by_node(offset_bump, dipole):
+    # the blocked kernel forms 1 - u^2 from a quadratic in the node and folds
+    # tau into moment products; a slip in either shows far below the 1e-10
+    # of the adaptive oracle, so the rule itself is the reference here; the
+    # seeded discs include a small one far out (|c|/R = 5.5), where a chord
+    # taken from b^2 - |c|^2 + R^2 is 2e-14 off by cancellation
+    far = mh.make_field("offset-bump", {"b0": 1.0, "r": 1.0, "center": [2.0, 1.0]})
+    rim = mh.make_field("offset-bump", {"b0": 1.0, "r": 1.0, "center": [1.0, 0.0]})
+    rng = np.random.default_rng(2024)
+    seeded = [mh.make_field("offset-bump", {"b0": rng.uniform(-2.0, 2.0),
+                                            "r": rng.uniform(0.2, 1.5),
+                                            "center": list(rng.uniform(-2.0, 2.0, 2))})
+              for _ in range(4)]
+    for f in [offset_bump, dipole, rim, far] + seeded:
+        support = f.support_radius
+        r = list(rng.uniform(0.0, 1.5 * support, 100))
+        th = list(rng.uniform(-np.pi, np.pi, 100))
+        for comp in f.components:
+            dist = math.hypot(*comp.center)
+            angle = math.atan2(comp.center[1], comp.center[0])
+            # random rays through the disc's window of directions
+            half = math.asin(comp.radius / dist) if dist > comp.radius else math.pi
+            r += list(rng.uniform(max(dist - comp.radius, 0.0), 1.2 * support, 60))
+            th += list(angle + rng.uniform(-half, half, 60))
+            if dist > comp.radius:       # tangent and grazing rays
+                for th_edge in _tangent_angles(comp):
+                    for dth in (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3):
+                        r += [support, 0.5 * (dist + support)]
+                        th += [th_edge + dth] * 2
+            else:                        # the origin inside the disc
+                r += [0.1 * comp.radius, 0.5 * comp.radius, support]
+                th += [angle + 0.5, angle + 2.0, angle - 2.5]
+            for frac in (0.1, 0.5, 0.9):  # r inside the disc, near the centre ray
+                r += [max(dist - comp.radius, 0.0) + frac * 2.0 * comp.radius]
+                th += [angle + 0.1 * comp.radius / max(dist, 1.0)]
+        r, th = np.array(r), np.array(th)
+        kernel = alpha_batch(f, r, th)
+        rule = alpha_node_by_node(f, r, th)
+        assert np.count_nonzero(rule) > 50
+        assert np.max(np.abs(kernel - rule)) <= 1e-14 * max(1.0, np.max(np.abs(rule)))
 
 
 def test_alpha_batch_offcentre_step(rng):
