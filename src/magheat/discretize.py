@@ -227,11 +227,6 @@ class DiscreteOperator:
     def apply(self, v):
         return self.matrix @ v
 
-    def shifted(self, sigma):
-        """Operator plus sigma * identity; ``smallest_eigs`` factors its shift with it."""
-        mat = (self.matrix + sigma * sp.identity(self.dimension, dtype=self.matrix.dtype)).tocsr()
-        return DiscreteOperator(grid=self.grid, matrix=mat)
-
 
 def assemble_magnetic(phases, harmonic):
     """Five-point Peierls stencil on ``phases.grid``; adds |x|^2/16 at node x

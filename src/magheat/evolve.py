@@ -2,11 +2,11 @@
 
 Both frames use Crank-Nicolson, unconditionally stable and norm
 non-increasing for positive semidefinite generators.  The self-similar
-frame evolves the non-autonomous confined equation, whose generator is
-assembled once and updated in place at the midpoint of every step; it steps
-through one Crank-Nicolson loop with conjugate-gradient solves, I +- dt/2 L
-applied matrix-free from the generator L, preconditioned by the zero-field
-Crank-Nicolson operator.  That operator is inverted by one fast
+frame evolves the non-autonomous confined equation; its generator, shared
+with ``lambda_curve``, is assembled once and updated in place at the
+midpoint of every step.  It steps through one Crank-Nicolson loop with CG
+solves, I +- dt/2 L applied matrix-free from the generator L, preconditioned
+by the zero-field Crank-Nicolson operator.  That operator is inverted by one fast
 diagonalization: dense eigenvectors of the confined axis operator on one
 axis, folded by parity into two half-size bases, and one factored
 tridiagonal solve along the other.  The physical frame's generator is fixed,
@@ -374,22 +374,36 @@ def evolve_physical(field, u0, t_final, dt):
     return NormTrajectory(frame="physical", points=points)
 
 
+def carried_generator(grid, field):
+    """``generator_at(s)``: the confined generator L(s) of ``field`` on ``grid``, one
+    matrix object for any s in any order.  The first call assembles it (a zero
+    field's does not depend on s); each later one recomputes in place the edge
+    phases near the rescaled support (``peierls_phases`` with ``previous``) and
+    has ``rewrite_hops`` write their hops into the CSR data."""
+    phases = generator = None
+
+    def generator_at(s):
+        nonlocal phases, generator
+        if generator is None:
+            phases = peierls_phases(grid, field, s=s)
+            generator = assemble_magnetic(phases, harmonic=True).matrix
+        elif not field.is_zero:
+            phases, s_prev = peierls_phases(grid, field, s=s, previous=phases), phases.s
+            rewrite_hops(generator, phases, field, s_prev)
+        return generator
+
+    return generator_at
+
+
 def evolve_selfsimilar(field, v0, s_final, ds):
     """Evolve the confined non-autonomous equation in self-similar variables.
 
     The generator is taken at the midpoint of every step (second order in
-    ds).  It is assembled once, at the first step; a zero field's does not
-    depend on s.  After the first step only the edge phases near the
-    rescaled support are recomputed, in place (``peierls_phases`` with
-    ``previous``): beyond radius R e^{-s/2}, R the support radius, the
-    rescaled potential is already the Aharonov-Bohm far field of the same
-    flux, which does not depend on s, so every other edge keeps its phase.
-    ``rewrite_hops`` then rewrites the hop entries of those edges in the
-    generator's CSR data, the same matrix object, so the Crank-Nicolson
-    driver keeps its solver.  Every CG solve is preconditioned by the
-    zero-field Crank-Nicolson operator, inverted by fast diagonalization:
-    exact without a field, and close while the rescaled field shrinks
-    towards a flux line.
+    ds) from ``carried_generator``, one matrix object rewritten in place, so
+    the Crank-Nicolson driver keeps its solver.  Every CG solve is
+    preconditioned by the zero-field Crank-Nicolson operator, inverted by
+    fast diagonalization: exact without a field, and close while the
+    rescaled field shrinks towards a flux line.
     The recorded weighted norm is the plain norm of the evolved
     representative, which coincides with the weighted norm of the solution in
     the original representation; the companion plain norm divides the weight
@@ -405,18 +419,6 @@ def evolve_selfsimilar(field, v0, s_final, ds):
     check_s_cap(grid, field, [s_final])
     X, Y = grid.mesh()
     inv_weight = np.exp(-(X**2 + Y**2).ravel() / 8.0)
-    phases = generator = None
-
-    def matrix_at(s):
-        nonlocal phases, generator
-        if generator is None:
-            phases = peierls_phases(grid, field, s=s)
-            generator = assemble_magnetic(phases, harmonic=True).matrix
-        elif not field.is_zero:
-            s_prev = phases.s
-            phases = peierls_phases(grid, field, s=s, previous=phases)
-            rewrite_hops(generator, phases, field, s_prev)
-        return generator
 
     def record(values, s):
         state = StateVector(grid=grid, values=values, time=s, frame="self-similar")
@@ -424,7 +426,8 @@ def evolve_selfsimilar(field, v0, s_final, ds):
         return TrajectoryPoint(time=s, l2_norm=plain, k_norm=state.norm(),
                                boundary_mass=state.boundary_mass())
 
-    points = _crank_nicolson(v0.values, v0.time, s_final - v0.time, ds, matrix_at, record,
+    points = _crank_nicolson(v0.values, v0.time, s_final - v0.time, ds,
+                             carried_generator(grid, field), record,
                              precondition=_fast_diagonalization(grid, ds))
     return NormTrajectory(frame="self-similar", points=points)
 

@@ -14,6 +14,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh, lobpcg, splu
 from .discretize import (DiscreteOperator, assemble_magnetic, build_grid, check_s_cap,
                          harmonic_axis_eigh, peierls_phases)
 from .errors import SolverConvergenceError
+from .evolve import carried_generator
 from .field import beta_of
 
 DIAMAGNETIC_SLACK = 1e-9    # floor tolerance of the discrete diamagnetic bound
@@ -72,15 +73,15 @@ class _CountingSolve:
         return self.solve(v)
 
 
-def _factor(matrix):
-    """Sparse LU of ``matrix``, columns ordered by minimum degree on A + A^T.
+def _factor(matrix, sigma):
+    """Sparse LU of ``matrix - sigma I``, columns ordered by minimum degree on A + A^T.
 
     The five-point Peierls stencil is structurally symmetric, so the
     symmetric ordering fits it; COLAMD, scipy's default, orders for A^T A
     and roughly doubles the fill.  Pivoting stays at its default:
     ``diag_pivot_thresh=0`` gave the same fill and factored more slowly.
     """
-    return splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    return splu((matrix - sigma * sp.eye(*matrix.shape)).tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
 def _random_block(rng, shape, dtype):
@@ -91,7 +92,7 @@ def _random_block(rng, shape, dtype):
     return block
 
 
-def _checked_pairs(op, vals, vecs, tol):
+def _checked_pairs(matrix, vals, vecs, tol):
     """Ascending (eigenvalue, eigenvector) pairs and the worst residual
     ``|L v - lam v| / |v|``, or ``None`` pairs when a residual exceeds ``tol``.
 
@@ -99,13 +100,12 @@ def _checked_pairs(op, vals, vecs, tol):
     real axis.
     """
     order = np.argsort(vals)
-    vals = vals[order]
-    vecs = vecs[:, order]
+    vals, vecs = vals[order], vecs[:, order]
     pairs = []
     worst = 0.0
     for j in range(len(vals)):
         v = vecs[:, j]
-        res = float(np.linalg.norm(op.apply(v) - vals[j] * v) / np.linalg.norm(v))
+        res = float(np.linalg.norm(matrix @ v - vals[j] * v) / np.linalg.norm(v))
         worst = max(worst, res)
         if res > tol:
             return None, worst
@@ -126,21 +126,20 @@ def _check_eigs_args(dim, k, tol, sigma):
         raise ValueError(f"sigma must be finite, got {sigma}")
 
 
-def _shift_invert(op, lu, k, tol, seed, sigma):
-    """``smallest_eigs`` with ``lu`` the factor of ``L - sigma I``."""
+def _shift_invert(matrix, lu, k, tol, seed, sigma):
+    """``smallest_eigs`` of ``matrix`` with ``lu`` the factor of ``L - sigma I``."""
     counting = _CountingSolve(lu.solve)
-    opinv = LinearOperator(op.matrix.shape, matvec=counting, dtype=op.matrix.dtype)
-    v0 = _random_block(np.random.default_rng(seed), op.dimension, op.matrix.dtype)
-    ncv = min(op.dimension - 1, max(2 * k + 1, 24))
+    opinv = LinearOperator(matrix.shape, matvec=counting, dtype=matrix.dtype)
+    v0 = _random_block(np.random.default_rng(seed), matrix.shape[0], matrix.dtype)
+    ncv = min(matrix.shape[0] - 1, max(2 * k + 1, 24))
     try:
-        vals, vecs = eigsh(op.matrix, k=k, sigma=sigma, which="LM", OPinv=opinv,
+        vals, vecs = eigsh(matrix, k=k, sigma=sigma, which="LM", OPinv=opinv,
                            v0=v0, ncv=ncv, maxiter=400, tol=0.0)
     except Exception as exc:
         raise SolverConvergenceError(f"shift-inverted eigensolve failed: {exc}") from exc
-    pairs, worst = _checked_pairs(op, vals, vecs, tol)
+    pairs, worst = _checked_pairs(matrix, vals, vecs, tol)
     if pairs is None:
-        raise SolverConvergenceError(
-            f"eigenpair residual {worst:.2e} exceeds tol {tol:.2e}")
+        raise SolverConvergenceError(f"eigenpair residual {worst:.2e} exceeds tol {tol:.2e}")
     return pairs, worst, counting.count
 
 
@@ -161,36 +160,41 @@ def smallest_eigs(op, k, tol=1e-8, seed=0, sigma=0.0):
     number of LU solves.
     """
     _check_eigs_args(op.dimension, k, tol, sigma)
-    lu = _factor(op.shifted(-sigma).matrix)
-    return _shift_invert(op, lu, k, tol, seed, sigma)
+    return _shift_invert(op.matrix, _factor(op.matrix, sigma), k, tol, seed, sigma)
 
 
-def _preconditioned_eigs(op, lu, sigma, previous, tol, rng):
-    """Smallest eigenpairs of ``op`` by LOBPCG on ``L - sigma I``, preconditioned
+def _preconditioned_eigs(matrix, lu, sigma, previous, tol, rng):
+    """Smallest eigenpairs of ``matrix`` by LOBPCG on ``L - sigma I``, preconditioned
     by ``lu``, the factor of a nearby operator shifted by the same ``sigma``.
 
     Starts from the ``previous`` eigenvectors plus ``START_NOISE`` of a random
     block drawn from ``rng``.  Returns ``(pairs, worst_residual, solve_count)``
     like ``smallest_eigs``, with ``None`` pairs when a residual misses
-    LOBPCG's tolerance; a solve on a block counts one per column.
+    LOBPCG's tolerance.
     """
-    dtype = op.matrix.dtype
+    dtype = matrix.dtype
     start = np.column_stack([v for _, v in previous])
     noise = _random_block(rng, start.shape, dtype)
     start = start + START_NOISE * noise / np.linalg.norm(noise, axis=0)
     counting = _CountingSolve(lu.solve)
-    precond = LinearOperator(op.matrix.shape, matvec=counting, matmat=counting, dtype=dtype)
+    precond = LinearOperator(matrix.shape, matvec=counting, matmat=counting, dtype=dtype)
+
+    def apply_shifted(v):       # L - sigma I, never formed; one product per block
+        return matrix @ v - sigma * v
+
+    shifted = LinearOperator(matrix.shape, matvec=apply_shifted, matmat=apply_shifted,
+                             dtype=dtype)
     lobpcg_tol = LOBPCG_TOL_FRACTION * tol
     try:
         with warnings.catch_warnings():
             # an unconverged exit warns; the residual check below catches it
             warnings.simplefilter("ignore", UserWarning)
-            vals, vecs = lobpcg(op.shifted(-sigma).matrix, start, M=precond, tol=lobpcg_tol,
+            vals, vecs = lobpcg(shifted, start, M=precond, tol=lobpcg_tol,
                                 maxiter=LOBPCG_MAXITER, largest=False)
     except (ValueError, np.linalg.LinAlgError):
         # a failed Rayleigh-Ritz eigh inside LOBPCG
         return None, math.inf, counting.count
-    pairs, worst = _checked_pairs(op, np.asarray(vals) + sigma, vecs, lobpcg_tol)
+    pairs, worst = _checked_pairs(matrix, np.asarray(vals) + sigma, vecs, lobpcg_tol)
     return pairs, worst, counting.count
 
 
@@ -208,51 +212,49 @@ def _diamagnetic_floor(grid):
 def lambda_curve(field, s_values, grid, tol=1e-8, seed=0):
     """Lowest eigenvalue of the rescaled confined operator at each s.
 
-    Every sample is checked against the discrete diamagnetic floor: the
-    same-grid zero-field eigenvalue minus a round-off slack.  The floor
-    also places the shift ``sigma`` ``SHIFT_BELOW_FLOOR`` beneath it, the
-    same at every s.  The curve makes one sparse LU: the first sample is a
-    shift-invert solve (``smallest_eigs``) on the factor of
-    ``L(s_0) - sigma I``.  Between samples ``L(s)`` changes only inside the
-    rescaled support, so that factor stays a close approximate inverse, and
-    every later sample runs LOBPCG on ``L(s) - sigma I`` preconditioned by
-    it.  LOBPCG starts from the previous sample's eigenvectors plus a seeded
-    random part (``START_NOISE``): without it a start inside one symmetry
-    class of a radial field stays there when the ground state moves to
-    another, and converges to a higher eigenpair that passes every check.
-    A sample whose LOBPCG residual misses ``LOBPCG_TOL_FRACTION * tol``, or
-    that falls below the floor, is solved again by shift-invert on a fresh
-    factor, which the later samples then use.
+    ``L(s)`` comes from ``carried_generator``: assembled at the first s and
+    rewritten in place near the rescaled support after that.  Every sample
+    is checked against the discrete diamagnetic floor, the same-grid
+    zero-field eigenvalue minus a round-off slack, which also places the
+    shift ``sigma`` ``SHIFT_BELOW_FLOOR`` beneath it at every s.  The curve
+    makes one sparse LU: the first sample is a shift-invert solve on the
+    factor of ``L(s_0) - sigma I``.  ``L(s)`` changes only inside the
+    rescaled support, so that factor stays a close approximate inverse of
+    every later ``L(s) - sigma I``, on which those samples run LOBPCG,
+    preconditioned by it, from the previous sample's eigenvectors plus a
+    seeded random part (``START_NOISE``, whose comment says why it is
+    needed).  A sample whose LOBPCG residual misses
+    ``LOBPCG_TOL_FRACTION * tol``, or that falls below the floor, is solved
+    again by shift-invert on a fresh factor, which the later samples then use.
     """
     s_values = [float(s) for s in s_values]
     if any(s < 0 for s in s_values):
         raise ValueError("s values must be >= 0")
     check_s_cap(grid, field, s_values)
-    beta = beta_of(field)
-    k = 2 if abs(beta - 0.5) < DEGENERACY_FLUX_TOL else 1
+    k = 2 if abs(beta_of(field) - 0.5) < DEGENERACY_FLUX_TOL else 1
     lam_floor = _diamagnetic_floor(grid)
     sigma = lam_floor - SHIFT_BELOW_FLOOR
     _check_eigs_args(grid.size, k, tol, sigma)
     rng = np.random.default_rng(seed)
+    generator_at = carried_generator(grid, field)
     lu = None
     samples = []
     for s in s_values:
-        op = assemble_magnetic(peierls_phases(grid, field, s=s), harmonic=True)
+        matrix = generator_at(s)
         pairs, iterations = None, 0
         if lu is not None:
-            pairs, residual, iterations = _preconditioned_eigs(op, lu, sigma, previous,
+            pairs, residual, iterations = _preconditioned_eigs(matrix, lu, sigma, previous,
                                                                tol, rng)
             if pairs is not None and pairs[0][0] < lam_floor - DIAMAGNETIC_SLACK:
                 pairs = None
         if pairs is None:
-            lu = _factor(op.shifted(-sigma).matrix)
-            pairs, residual, solves = _shift_invert(op, lu, k, tol, seed=seed, sigma=sigma)
+            lu = _factor(matrix, sigma)
+            pairs, residual, solves = _shift_invert(matrix, lu, k, tol, seed=seed, sigma=sigma)
             iterations += solves
         lam = pairs[0][0]
         if lam < lam_floor - DIAMAGNETIC_SLACK:
             raise SolverConvergenceError(
-                f"lambda({s}) = {lam:.8f} violates the diamagnetic floor "
-                f"{lam_floor:.8f}")
+                f"lambda({s}) = {lam:.8f} violates the diamagnetic floor {lam_floor:.8f}")
         samples.append(SpectralSample(s=s, lam=lam, residual=residual,
                                       iterations=iterations, r_dom=grid.r_dom, n=grid.n))
         previous = pairs

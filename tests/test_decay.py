@@ -148,22 +148,28 @@ def test_theorem_report_integer_flux_wide_bump():
     assert report["pass"]
 
 
-def test_theorem_report_solves_each_s_once(monkeypatch, zero_field):
-    # s_values (0, 1, 2) and the c_b grid (0, 0.5, ..., 2) share one curve
-    import magheat.spectral as spectral
+def test_theorem_report_solves_each_s_once(monkeypatch):
+    # s_values (0, 1, 2) and the c_b grid (0, 0.5, ..., 2) share one curve,
+    # whose carried generator builds the phases once per s; a field is needed,
+    # since a zero field's generator is built at the first s only
+    import magheat.evolve as evolve
 
+    field = mh.make_field("radial-step", {"b0": 2 * 0.3 / 16.0, "r": 4.0})  # s_max 2.02
     seen = []
-    inner = spectral.assemble_magnetic
+    inner = evolve.peierls_phases
 
-    def counted(phases, *args, **kwargs):
-        seen.append(phases.s)
-        return inner(phases, *args, **kwargs)
+    def counted(grid, fld, s=None, previous=None):
+        seen.append(s)
+        return inner(grid, fld, s=s, previous=previous)
 
-    monkeypatch.setattr(spectral, "assemble_magnetic", counted)
+    monkeypatch.setattr(evolve, "peierls_phases", counted)
     cfg = mh.ReportConfig(
         ss_r_dom=6.0, ss_n=32, s_values=(0.0, 1.0, 2.0), s_final=1.0, ds=0.05,
         phys_r_dom=12.0, phys_n=48, t_final=1.0, dt=0.1, width=1.0,
         fit_window=(0.1, 1.0), ss_fit_window=(0.4, 1.0), initial_data=("gaussian",))
-    report = mh.theorem_report(zero_field, cfg)
-    assert seen == [0.0, 0.5, 1.0, 1.5, 2.0]
+    report = mh.theorem_report(field, cfg)
+    # the curve comes first; the physical run's phases (s None) and the
+    # self-similar steps' (at the step midpoints) follow
+    assert seen[:5] == [0.0, 0.5, 1.0, 1.5, 2.0]
+    assert not set(seen[:5]) & set(seen[5:])
     assert [smp["s"] for smp in report["lambda_curve"]] == [0.0, 1.0, 2.0]

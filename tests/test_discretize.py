@@ -109,6 +109,21 @@ def test_phases_carried_over_increasing_s_match_fresh_ones(field_name, request):
 
 
 @pytest.mark.parametrize("field_name", ["step_half", "offset_bump", "dipole"])
+def test_phases_carried_back_to_a_smaller_s_match_fresh_ones(field_name, request):
+    # a lambda(s) curve may take its s values in any order: a step back to a
+    # smaller s recomputes the larger box of that s
+    field = request.getfixturevalue(field_name)
+    grid = mh.build_grid(6.0, 60)
+    phases = None
+    for s in (2.2, 1.0, 0.4, 1.5, 0.05, 0.0):
+        phases = mh.peierls_phases(grid, field, s, previous=phases)
+        fresh = mh.peierls_phases(grid, field, s)
+        scale = max(np.abs(fresh.qh).max(), np.abs(fresh.qv).max())
+        np.testing.assert_allclose(phases.qh, fresh.qh, rtol=0.0, atol=1e-14 * scale)
+        np.testing.assert_allclose(phases.qv, fresh.qv, rtol=0.0, atol=1e-14 * scale)
+
+
+@pytest.mark.parametrize("field_name", ["step_half", "offset_bump", "dipole"])
 def test_carried_phases_recompute_every_edge_inside_the_rescaled_support(field_name,
                                                                          request):
     # poison the previous phases: an edge with a Gauss point inside

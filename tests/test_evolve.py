@@ -440,22 +440,19 @@ def test_crank_nicolson_keeps_its_solver_for_a_generator_updated_in_place(monkey
         assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
-@pytest.mark.parametrize("n", [96, 97])
-@pytest.mark.parametrize("field_name", ["step_half", "offset_bump", "dipole", "wide_bump"])
-def test_generator_rewritten_in_place_matches_a_fresh_assembly(monkeypatch, request,
-                                                               field_name, n):
-    # after every step the CSR arrays equal assemble_magnetic of the same
-    # carried phases, bit for bit, and the matrix object stays the same
+def _check_carried_generator(monkeypatch, request, field_name, n, run, calls):
+    # after every call but the first of the carried generator, the CSR arrays
+    # equal assemble_magnetic of the same carried phases, bit for bit, and the
+    # matrix object stays the same
     import magheat.evolve as ev
     from magheat.discretize import _carried_box
 
-    grid, steps = mh.build_grid(6.0, n), 4
+    grid = mh.build_grid(6.0, n)
     if field_name == "wide_bump":
         # support radius 8 on (-6, 6)^2: the recomputed box is the whole
         # grid, so the rows along the wall take the rewrite too
         field = mh.make_field("radial-bump", {"b0": 0.05, "r": 8.0})
-        assert _carried_box(grid, field, 0.05 * steps, 0.05 * steps) == (slice(0, n),
-                                                                         slice(0, n - 1))
+        assert _carried_box(grid, field, 0.2, 0.2) == (slice(0, n), slice(0, n - 1))
     else:
         field = request.getfixturevalue(field_name)
     inner, rewritten = ev.rewrite_hops, []
@@ -468,11 +465,38 @@ def test_generator_rewritten_in_place_matches_a_fresh_assembly(monkeypatch, requ
                                           for name in ("data", "indices", "indptr"))))
 
     monkeypatch.setattr(ev, "rewrite_hops", spy)
-    v0 = mh.gaussian_state(grid, 1.0, frame="self-similar")
-    mh.evolve_selfsimilar(field, v0, 0.05 * steps, 0.05)
-    assert len(rewritten) == steps - 1
+    run(field, grid)
+    assert len(rewritten) == calls - 1
     assert len({matrix for matrix, _ in rewritten}) == 1
     assert all(same for _, same in rewritten)
+
+
+_CARRIED_FIELDS = ["step_half", "offset_bump", "dipole", "wide_bump"]
+
+
+@pytest.mark.parametrize("n", [96, 97])
+@pytest.mark.parametrize("field_name", _CARRIED_FIELDS)
+def test_generator_rewritten_in_place_matches_a_fresh_assembly(monkeypatch, request,
+                                                               field_name, n):
+    # evolve_selfsimilar's four steps
+    def run(field, grid):
+        v0 = mh.gaussian_state(grid, 1.0, frame="self-similar")
+        mh.evolve_selfsimilar(field, v0, 0.2, 0.05)
+
+    _check_carried_generator(monkeypatch, request, field_name, n, run, calls=4)
+
+
+@pytest.mark.parametrize("n", [96, 97])
+@pytest.mark.parametrize("field_name", _CARRIED_FIELDS)
+def test_lambda_curve_generator_rewritten_in_place_matches_a_fresh_assembly(
+        monkeypatch, request, field_name, n):
+    # lambda_curve's five samples, in an order that also goes back:
+    # _carried_box takes min(s, s_prev), so a step to a smaller s recomputes
+    # the larger box of that s
+    def run(field, grid):
+        mh.lambda_curve(field, [0.2, 0.1, 0.0, 0.15, 0.05], grid)
+
+    _check_carried_generator(monkeypatch, request, field_name, n, run, calls=5)
 
 
 def test_selfsimilar_step_forms_no_matrix_beyond_the_generator(step_half):

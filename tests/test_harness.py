@@ -164,8 +164,10 @@ def test_run_decay_report_small(tmp_path):
     assert summary["flags"]["energy_bound"]
     assert summary["flags"]["global_bound"]
     assert any(p.endswith("fit_residuals.csv") for p in rec.outputs)
-    # eigenpair residuals go to the table, not to the summary
+    # eigenpair residuals and fit stderrs go to the tables, not to the summary
     assert all("residual" not in smp for smp in summary["lambda_curve"])
+    assert all("stderr" not in fit for fit in summary["gamma_fits"].values())
+    assert "stderr" not in summary["selfsimilar_slope"]
     (table,) = [p for p in rec.outputs if p.endswith("lambda_curve.csv")]
     assert open(table).readline().strip() == "s,lambda,residual"
 
@@ -436,7 +438,15 @@ def test_grid_aligned_fit_window_fits_what_validate_counts(tmp_path, grid, evolv
 
     assert main(["evolve", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
     summary = load_summary(tmp_path / "aligned" / "summary.json")
-    assert math.isfinite(summary["gamma" if evolve["frame"] == "physical" else "slope"])
+    name = "gamma" if evolve["frame"] == "physical" else "slope"
+    assert math.isfinite(summary[name])
+    # the fit's stderr goes to the table only: compare reads the summary
+    assert f"{name}_stderr" not in summary
+    header, row = (tmp_path / "aligned" / "fit.csv").read_text().splitlines()
+    assert header == "fit,window_lo,window_hi,exponent,stderr,residual"
+    cells = row.split(",")
+    assert cells[0] == name and float(cells[3]) == pytest.approx(summary[name], rel=1e-11)
+    assert float(cells[4]) >= 0.0
 
 
 def test_failed_run_leaves_no_empty_directory(tmp_path):

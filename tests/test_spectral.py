@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import magheat as mh
 from magheat.errors import ResolutionCapError
@@ -28,7 +29,9 @@ def test_smallest_eigs_shift_invariance(zero_field):
     phases = mh.peierls_phases(grid, zero_field)
     op = mh.assemble_magnetic(phases, harmonic=True)
     base = [p[0] for p in mh.smallest_eigs(op, k=2)[0]]
-    shifted = [p[0] for p in mh.smallest_eigs(op.shifted(0.7), k=2)[0]]
+    matrix = op.matrix + 0.7 * sp.identity(op.dimension, format="csr")
+    shifted_op = mh.DiscreteOperator(grid=grid, matrix=matrix)
+    shifted = [p[0] for p in mh.smallest_eigs(shifted_op, k=2)[0]]
     assert np.allclose(np.array(shifted) - np.array(base), 0.7, atol=1e-9)
 
 
@@ -151,7 +154,9 @@ def _broken_lobpcg(A, X, **kwargs):
 def test_lambda_curve_falls_back_to_a_fresh_factor(monkeypatch, step_half, fake_lobpcg):
     # a LOBPCG that returns its start block unchanged misses the residual
     # check at every later s, and one that raises gives no pairs; each such s
-    # is then solved by eigsh on its own factor
+    # is then solved by eigsh on its own factor of the carried generator
+    from magheat.evolve import carried_generator
+
     grid = mh.build_grid(4.0, 48)   # resolution cap s_max = 0.85
     s_values = [0.0, 0.25, 0.5]
     expected = mh.lambda_curve(step_half, s_values, grid)
@@ -169,8 +174,9 @@ def test_lambda_curve_falls_back_to_a_fresh_factor(monkeypatch, step_half, fake_
         warnings.simplefilter("error")
         samples = mh.lambda_curve(step_half, s_values, grid)
     assert len(factors) == len(s_values)
+    generator_at = carried_generator(grid, step_half)
     for smp, ref, s in zip(samples, expected, s_values):
-        op = mh.assemble_magnetic(mh.peierls_phases(grid, step_half, s=s), harmonic=True)
+        op = mh.DiscreteOperator(grid=grid, matrix=generator_at(s))
         pairs, residual, solves = mh.smallest_eigs(op, k=2, sigma=sigma)
         assert smp.lam == pairs[0][0] and smp.residual == residual
         # the fake LOBPCG made no solves; eigsh's are counted
