@@ -34,6 +34,11 @@ _GL3_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 RADIAL_MIN_R_MAX = 15.0
 RADIAL_MIN_POINTS = 500
 
+# points per block of the phase and stencil builds: every temporary of a
+# build is a few arrays of this many numbers (256 kB of doubles), whatever
+# the grid
+_BLOCK_POINTS = 1 << 15
+
 
 @dataclass(frozen=True)
 class Grid2D:
@@ -173,12 +178,24 @@ def _carried_box(grid, field, s, s_prev):
     return slice(near[0], near[-1] + 1), slice(near[0], near[-1])
 
 
+def _row_blocks(rows, width):
+    """Sub-slices of the slice ``rows`` (with a stop), each at most
+    ``_BLOCK_POINTS`` points of rows ``width`` long, and at least one row."""
+    step = max(1, _BLOCK_POINTS // width)
+    for start in range(rows.start, rows.stop, step):
+        yield slice(start, min(start + step, rows.stop))
+
+
 def peierls_phases(grid, field, s=None, previous=None):
     """Edge phases on ``grid`` of the transverse-gauge potential A of ``field``
     (s is None) or of its rescaling A_s.
 
     Each edge integral uses 3-point Gauss quadrature of A . dl along the
     straight edge: of A_x on the ``qh`` edges, of A_y on the ``qv`` edges.
+    The edges are taken in blocks of whole rows, at most ``_BLOCK_POINTS``
+    edges each (one row if a row is longer), so no temporary spans the grid.
+    An edge's arithmetic does not depend on its block, except that an
+    off-centre component's ``alpha_batch`` may round it by a few ulp.
 
     ``previous``, phases of the same field on ``grid`` at another
     self-similar time, is updated in place and returned with ``s``: only the
@@ -191,10 +208,10 @@ def peierls_phases(grid, field, s=None, previous=None):
     every edge with a Gauss point inside that radius.
     """
     n, h = grid.n, grid.h
-    X, Y = grid.mesh()
+    x = grid.axis()
     if previous is None:
         qh, qv = np.zeros((n - 1, n)), np.zeros((n, n - 1))
-        nodes = edges = slice(None)
+        nodes, edges = slice(0, n), slice(0, n - 1)
     else:
         if previous.grid != grid or s is None or previous.s is None:
             raise ValueError("previous must hold self-similar phases on the same grid")
@@ -202,14 +219,15 @@ def peierls_phases(grid, field, s=None, previous=None):
         nodes, edges = _carried_box(grid, field, s, previous.s)
         qh[edges, nodes] = 0.0
         qv[nodes, edges] = 0.0
-    box_h, box_v = (edges, nodes), (nodes, edges)
-    xh, yh, bh = X[:-1, :][box_h], Y[:-1, :][box_h], qh[box_h]
-    xv, yv, bv = X[:, :-1][box_v], Y[:, :-1][box_v], qv[box_v]
-    for gx, gw in zip(_GL3_NODES, _GL3_WEIGHTS):
-        (a_x,) = _transverse_components(field, xh + gx * h, yh, s, (0,))
-        bh += gw * a_x * h
-        (a_y,) = _transverse_components(field, xv, yv + gx * h, s, (1,))
-        bv += gw * a_y * h
+    # qh[i, j] runs from (x_i, x_j) along x, qv[i, j] from (x_i, x_j) along y
+    for q, rows, cols, axis in ((qh, edges, nodes, 0), (qv, nodes, edges, 1)):
+        y = x[cols]
+        for block in _row_blocks(rows, y.size):
+            xb, out = x[block, None], q[block, cols]
+            for gx, gw in zip(_GL3_NODES, _GL3_WEIGHTS):
+                ends = (xb + gx * h, y) if axis == 0 else (xb, y + gx * h)
+                (a,) = _transverse_components(field, *ends, s, (axis,))
+                out += gw * a * h
     return LinkPhases(grid=grid, qh=qh, qv=qv, s=s)
 
 
@@ -228,6 +246,44 @@ class DiscreteOperator:
         return self.matrix @ v
 
 
+def _edge_slots(ptr, n, i, j, axis):
+    """CSR positions ``(ahead, back)`` of the edge from node k = i n + j to
+    k + n (axis 0) or k + 1 (axis 1): of the entry (k, k + n) or (k, k + 1)
+    and of its mirror in row k + n or k + 1.
+
+    Row k of the five-point pattern holds the columns k - n, k - 1, k, k + 1,
+    k + n, each where it exists, so positions follow from ``ptr`` alone: the
+    +n entry is last in row k and its mirror first in row k + n; the +1 entry
+    sits one place before the row's +n entry (last when i = n - 1) and its
+    mirror one place after row k + 1's -n entry (first when i = 0).
+    """
+    k = i * n + j
+    if axis == 0:
+        return ptr[k + 1] - 1, ptr[k + n]
+    return ptr[k + 1] - 1 - (i < n - 1), ptr[k + 1] + (i > 0)
+
+
+def _write_hops(data, ptr, phases, box_h, box_v, indices=None):
+    """Write -exp(-i Q)/h^2 of the ``qh`` edges in ``box_h`` and the ``qv``
+    edges in ``box_v`` (pairs of slices of the phase arrays) at their
+    ``_edge_slots`` in ``data``, and the conjugates at the mirrors; a real
+    ``data`` belongs to a zero gauge, whose hops are all -1/h^2.  With
+    ``indices``, a full build's, the column of every entry written goes
+    there too."""
+    n, h = phases.grid.n, phases.grid.h
+    for axis, q, box in ((0, phases.qh, box_h), (1, phases.qv, box_v)):
+        i, j = np.ogrid[box]
+        ahead, back = _edge_slots(ptr, n, i, j, axis)
+        if indices is not None:
+            k = i * n + j
+            indices[ahead] = k + (n if axis == 0 else 1)
+            indices[back] = k
+        angles = q[box]
+        hop = (np.exp(-1j * angles) if np.iscomplexobj(data) else np.ones(angles.shape)) / h**2
+        data[ahead] = -hop
+        data[back] = -hop.conj()
+
+
 def assemble_magnetic(phases, harmonic):
     """Five-point Peierls stencil on ``phases.grid``; adds |x|^2/16 at node x
     on the diagonal when harmonic.
@@ -235,29 +291,40 @@ def assemble_magnetic(phases, harmonic):
     Hopping from node a to neighbor b carries -exp(-i Q_ab)/h^2 with Q_ab the
     edge phase in the a -> b direction, which is the Hermitian transporter
     convention for (-i grad - A)^2.  Node (i, j) sits at flat index i n + j,
-    so the ``qh`` edges fill the diagonals at offsets +-n and the ``qv`` edges
-    those at +-1; the +-1 diagonals hold a zero where a row of nodes ends
-    (j = n - 1), and the CSR conversion drops it.
+    so the ``qh`` edges couple k and k +- n and the ``qv`` edges k and k +- 1
+    within a row of nodes.  The CSR arrays are allocated once at their final
+    size, ``indptr`` from the pattern's row counts, and written in blocks of
+    rows of nodes, at most ``_BLOCK_POINTS`` nodes each: the diagonal, then
+    by ``_write_hops`` the hops and columns of the edges leaving the block.
     """
     grid = phases.grid
     n, h = grid.n, grid.h
-    X, Y = grid.mesh()
-    diag = np.full(grid.size, 4.0 / h**2)
-    if harmonic:
-        diag = diag + (X**2 + Y**2).ravel() / 16.0
+    x = grid.axis()
 
     # a vanishing gauge keeps the operator real symmetric, which halves the
     # cost of the zero-field baselines
     real = not (np.any(phases.qh) or np.any(phases.qv))
-    dtype = np.float64 if real else np.complex128
 
-    def hop(q):
-        return (np.ones(q.shape) if real else np.exp(-1j * q)) / h**2
+    # row k holds 5 entries, one fewer for each wall next to its node
+    ptr = np.empty(grid.size + 1, dtype=np.int32)
+    ptr[0] = 0
+    counts = ptr[1:].reshape(n, n)
+    counts[...] = 5
+    counts[[0, -1], :] -= 1
+    counts[:, [0, -1]] -= 1
+    np.cumsum(ptr, out=ptr)
+    data = np.empty(ptr[-1], dtype=np.float64 if real else np.complex128)
+    indices = np.empty(ptr[-1], dtype=np.int32)
 
-    hop_h = hop(phases.qh).ravel()
-    hop_v = np.pad(hop(phases.qv), ((0, 0), (0, 1))).ravel()[:-1]
-    matrix = sp.diags([diag, -hop_h, -hop_h.conj(), -hop_v, -hop_v.conj()],
-                      [0, n, -n, 1, -1], format="csr", dtype=dtype)
+    for rows in _row_blocks(slice(0, n), n):
+        i, j = np.ogrid[rows, 0:n]
+        k = i * n + j
+        diag = ptr[k] + (i > 0) + (j > 0)     # after the row's -n and -1 entries
+        indices[diag] = k
+        data[diag] = 4.0 / h**2 + (x[i]**2 + x[j]**2) / 16.0 if harmonic else 4.0 / h**2
+        _write_hops(data, ptr, phases, (slice(rows.start, min(rows.stop, n - 1)), slice(0, n)),
+                    (rows, slice(0, n - 1)), indices)
+    matrix = sp.csr_matrix((data, indices, ptr), shape=(grid.size, grid.size))
     return DiscreteOperator(grid=grid, matrix=matrix)
 
 
@@ -265,33 +332,13 @@ def rewrite_hops(matrix, phases, field, s_prev):
     """Bring ``matrix``, a complex ``assemble_magnetic`` build on
     ``phases.grid``, up to date with ``phases``, carried from ``s_prev`` by
     ``peierls_phases(previous=...)``: the hop entries of the edges in the box
-    it recomputed are rewritten in place; the pattern and every other entry
-    are kept.
-
-    Row k = i n + j of the five-point CSR holds the columns k - n, k - 1, k,
-    k + 1, k + n, each where it exists.  So the edge from k to k + n puts its
-    hop last in row k and its conjugate first in row k + n, and the edge from
-    k to k + 1 puts its hop before row k's +n entry (last when i = n - 1)
-    and its conjugate after row k + 1's -n entry (first when i = 0).
-    Positions are found from ``indptr`` for the box only; the values are
-    ``assemble_magnetic``'s, bit for bit.
+    it recomputed are rewritten in place by the hop writer of the full build,
+    at positions found from ``indptr`` for the box only; the pattern and
+    every other entry are kept, and the values are ``assemble_magnetic``'s,
+    bit for bit.
     """
-    grid = phases.grid
-    n, h = grid.n, grid.h
-    nodes, edges = _carried_box(grid, field, phases.s, s_prev)
-    ptr, data = matrix.indptr, matrix.data
-
-    i, j = np.ogrid[edges, nodes]
-    k = i * n + j
-    hop = np.exp(-1j * phases.qh[edges, nodes]) / h**2
-    data[ptr[k + 1] - 1] = -hop
-    data[ptr[k + n]] = -hop.conj()
-
-    i, j = np.ogrid[nodes, edges]
-    k = i * n + j
-    hop = np.exp(-1j * phases.qv[nodes, edges]) / h**2
-    data[ptr[k + 1] - 1 - (i < n - 1)] = -hop
-    data[ptr[k + 1] + (i > 0)] = -hop.conj()
+    nodes, edges = _carried_box(phases.grid, field, phases.s, s_prev)
+    _write_hops(matrix.data, matrix.indptr, phases, (edges, nodes), (nodes, edges))
 
 
 # ---------------------------------------------------------------------------

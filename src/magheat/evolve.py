@@ -203,19 +203,26 @@ def _fast_diagonalization(grid, dt):
 
 
 def _cn_solver(matrix, dt, precondition):
-    """CG solve of (I + dt/2 L) out = (I - dt/2 L) values, warm-started at values
-    and preconditioned by ``precondition`` (an approximate inverse of I + dt/2 L).
-    Both sides are applied matrix-free, as v +- dt/2 (L v): no matrix but L."""
+    """CG solve of (I + dt/2 L) out = (I - dt/2 L) values, preconditioned by
+    ``precondition`` (an approximate inverse of I + dt/2 L).  CG solves for
+    the increment d = out - values, (I + dt/2 L) d = -dt L values, from d = 0,
+    so L values is formed once; stopping at |residual| < CG_RTOL |(I - dt/2 L)
+    values| keeps the rule of a solve for out started at values, whose
+    residuals are the same vectors.  I + dt/2 L is applied matrix-free, as
+    v + dt/2 (L v): no matrix but L."""
     half = dt / 2.0
     plus = LinearOperator(matrix.shape, dtype=matrix.dtype,
                           matvec=lambda v: v + half * (matrix @ v))
 
     def solve(values):
-        out, info = cg(plus, values - half * (matrix @ values), x0=values, rtol=CG_RTOL,
-                       atol=0.0, M=precondition)
+        rhs = matrix @ values
+        atol = CG_RTOL * np.linalg.norm(values - half * rhs)
+        rhs *= -dt
+        step, info = cg(plus, rhs, rtol=0.0, atol=atol, M=precondition)
         if info != 0:
             raise SolverConvergenceError(f"Crank-Nicolson CG failed (info={info})")
-        return out
+        step += values
+        return step
 
     return solve
 

@@ -347,11 +347,14 @@ def flux_at(field, r):
 
 def _transverse_components(field, x, y, s, axes):
     """Components ``axes`` (0: x, 1: y) of ``vector_potential`` at the points
-    (x, y); the one place g is formed, so one component costs one."""
+    (x, y), broadcast together; the one place g is formed, so one component
+    costs one.  The angle is taken only if some component is off-centre:
+    ``alpha_batch`` reads it for no other."""
     scale = 1.0 if s is None else math.exp(s / 2.0)
     x, y = scale * x, scale * y
     r = np.hypot(x, y)
-    a_val = alpha_batch(field, r, np.arctan2(y, x))
+    centred = all(comp.center == (0.0, 0.0) for comp in field.components)
+    a_val = alpha_batch(field, r, 0.0 if centred else np.arctan2(y, x))
     with np.errstate(invalid="ignore", divide="ignore"):
         g = np.where(r > 0.0, a_val / np.maximum(r, 1e-300) ** 2, 0.0)
     return [scale * (-y * g if k == 0 else x * g) for k in axes]

@@ -192,6 +192,81 @@ def test_assemble_stencil_entries(offset_bump, zero_field, s, harmonic):
     assert free.nnz == 5 * n**2 - 4 * n
 
 
+@pytest.mark.parametrize("n", [16, 17, 48])
+@pytest.mark.parametrize("harmonic", [False, True])
+@pytest.mark.parametrize("field_name", ["zero_field", "step_half", "offset_bump", "dipole"])
+def test_assembly_matches_the_diagonal_build_byte_for_byte(request, field_name, harmonic, n):
+    # the CSR arrays written in place are those of scipy's DIA -> CSR
+    # conversion of the five diagonals: same values, dtypes and pattern
+    from oracles import assemble_by_diagonals
+
+    field = request.getfixturevalue(field_name)
+    grid = mh.build_grid(6.0, n)
+    for s in (None, 1.3):
+        phases = mh.peierls_phases(grid, field, s)
+        matrix = mh.assemble_magnetic(phases, harmonic).matrix
+        expected = assemble_by_diagonals(phases, harmonic)
+        assert type(matrix) is type(expected) and matrix.shape == expected.shape
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(matrix, name), getattr(expected, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("field_name", ["step_half", "bump_field", "offset_bump", "dipole"])
+def test_blocked_builds_match_one_row_blocks(monkeypatch, request, field_name):
+    # blocks of one row each (the budget below a row) against the default
+    # blocks, which hold the whole n = 48 grid: the full build, a carried box
+    # and the assembly.  Centred fields match bit for bit.  Off-centre ones
+    # match to a few ulp: alpha_batch's moment product is one BLAS GEMM per
+    # ray block, whose last bit depends on where a ray sits in the block.
+    from magheat import discretize
+
+    field = request.getfixturevalue(field_name)
+    grid = mh.build_grid(6.0, 48)
+
+    def builds():
+        fresh = mh.peierls_phases(grid, field, 0.4)
+        carried = mh.peierls_phases(grid, field, 0.4,
+                                    previous=mh.peierls_phases(grid, field, 1.5))
+        return fresh, carried, mh.assemble_magnetic(fresh, harmonic=True).matrix
+
+    assert 2 * grid.n**2 <= discretize._BLOCK_POINTS
+    wide = builds()
+    monkeypatch.setattr(discretize, "_BLOCK_POINTS", grid.n // 3)
+    narrow = builds()
+    assert wide[2].indices.tobytes() == narrow[2].indices.tobytes()
+    assert wide[2].indptr.tobytes() == narrow[2].indptr.tobytes()
+    pairs = [(a.qh, b.qh) for a, b in zip(wide[:2], narrow[:2])]
+    pairs += [(a.qv, b.qv) for a, b in zip(wide[:2], narrow[:2])]
+    pairs += [(wide[2].data.view(np.float64), narrow[2].data.view(np.float64))]
+    for a, b in pairs:
+        if all(comp.center == (0.0, 0.0) for comp in field.components):
+            assert a.tobytes() == b.tobytes()
+        else:
+            np.testing.assert_array_max_ulp(a, b, maxulp=4)
+
+
+@pytest.mark.parametrize("field_name", ["zero_field", "step_half", "offset_bump"])
+def test_generator_build_peaks_near_its_output(request, field_name):
+    # phases and assembly hold no full-grid temporary: their traced peak
+    # stays within half of what they return (a DIA -> CSR build peaked at
+    # about 2.7 times that)
+    import tracemalloc
+
+    field = request.getfixturevalue(field_name)
+    grid = mh.build_grid(6.0, 256)
+    tracemalloc.start()
+    try:
+        phases = mh.peierls_phases(grid, field, 1.0)
+        matrix = mh.assemble_magnetic(phases, harmonic=True).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for a in (phases.qh, phases.qv, matrix.data, matrix.indices,
+                                  matrix.indptr))
+    assert peak < 1.5 * kept
+
+
 def test_free_stencil_symbol(zero_field):
     # interior rows act on plane waves with the 4 sin^2 / h^2 symbol
     grid = mh.build_grid(4.0, 64)
