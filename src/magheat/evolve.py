@@ -4,8 +4,8 @@ Both frames use Crank-Nicolson, unconditionally stable and norm
 non-increasing for positive semidefinite generators.  The self-similar
 frame evolves the non-autonomous confined equation; its generator, shared
 with ``lambda_curve``, is assembled once and updated in place at the
-midpoint of every step.  It steps through one Crank-Nicolson loop with CG
-solves, I +- dt/2 L applied matrix-free from the generator L, preconditioned
+midpoint of every step.  ``evolve_selfsimilar`` steps it in one loop of CG
+solves, I + dt/2 L applied matrix-free from the generator L, preconditioned
 by the zero-field Crank-Nicolson operator.  That operator is inverted by one fast
 diagonalization: dense eigenvectors of the confined axis operator on one
 axis, folded by parity into two half-size bases, and one factored
@@ -54,14 +54,12 @@ class StateVector:
 
     def boundary_mass(self):
         """Fraction of the squared norm within ``BOUNDARY_RINGS`` cells of the wall."""
-        n, k = self.grid.n, BOUNDARY_RINGS
-        v2 = np.abs(self.values.reshape(n, n)) ** 2
+        v2 = np.abs(self.values.ravel()) ** 2
         total = float(v2.sum())
         if total == 0.0:
             return 0.0
-        rows = slice(k, n - k)      # total minus the inside could round below zero
-        ring = v2[:k].sum() + v2[n - k:].sum() + v2[rows, :k].sum() + v2[rows, n - k:].sum()
-        return float(ring) / total
+        # the ring itself, not total minus the inside, which could round below zero
+        return float(v2[_ring_nodes(self.grid)].sum()) / total
 
 
 @dataclass(frozen=True)
@@ -202,58 +200,12 @@ def _fast_diagonalization(grid, dt):
     return LinearOperator((grid.size, grid.size), dtype=np.float64, matvec=apply)
 
 
-def _cn_solver(matrix, dt, precondition):
-    """CG solve of (I + dt/2 L) out = (I - dt/2 L) values, preconditioned by
-    ``precondition`` (an approximate inverse of I + dt/2 L).  CG solves for
-    the increment d = out - values, (I + dt/2 L) d = -dt L values, from d = 0,
-    so L values is formed once; stopping at |residual| < CG_RTOL |(I - dt/2 L)
-    values| keeps the rule of a solve for out started at values, whose
-    residuals are the same vectors.  I + dt/2 L is applied matrix-free, as
-    v + dt/2 (L v): no matrix but L."""
-    half = dt / 2.0
-    plus = LinearOperator(matrix.shape, dtype=matrix.dtype,
-                          matvec=lambda v: v + half * (matrix @ v))
-
-    def solve(values):
-        rhs = matrix @ values
-        atol = CG_RTOL * np.linalg.norm(values - half * rhs)
-        rhs *= -dt
-        step, info = cg(plus, rhs, rtol=0.0, atol=atol, M=precondition)
-        if info != 0:
-            raise SolverConvergenceError(f"Crank-Nicolson CG failed (info={info})")
-        step += values
-        return step
-
-    return solve
-
-
 def _working_values(matrix, values):
     """``values`` in the generator's arithmetic: real data under a real
     generator stay real."""
     if not np.iscomplexobj(matrix) and not np.any(np.imag(values)):
         return np.ascontiguousarray(values.real)
     return values
-
-
-def _crank_nicolson(values, t, span, dt, matrix_at, record, precondition=None):
-    """Crank-Nicolson steps of u' = -L(t) u over ``span`` from ``t``; returns
-    ``record(values, t)`` at the start and after each step.  The solver is
-    rebuilt only when ``matrix_at(t_mid)`` returns a new matrix object; it
-    reads the matrix at every solve, so a matrix that ``matrix_at`` rewrites
-    in place keeps its solver.  Every CG solve takes ``precondition`` as its
-    preconditioner."""
-    n_steps = step_count(span, dt)
-    points = [record(values, t)]
-    matrix = None
-    for _ in range(n_steps):
-        current = matrix_at(t + dt / 2.0)
-        if current is not matrix:
-            matrix, solve = current, _cn_solver(current, dt, precondition)
-            values = _working_values(matrix, values)
-        values = solve(values)
-        t += dt
-        points.append(record(values, t))
-    return points
 
 
 def _ring_nodes(grid):
@@ -405,12 +357,16 @@ def carried_generator(grid, field):
 def evolve_selfsimilar(field, v0, s_final, ds):
     """Evolve the confined non-autonomous equation in self-similar variables.
 
-    The generator is taken at the midpoint of every step (second order in
-    ds) from ``carried_generator``, one matrix object rewritten in place, so
-    the Crank-Nicolson driver keeps its solver.  Every CG solve is
-    preconditioned by the zero-field Crank-Nicolson operator, inverted by
-    fast diagonalization: exact without a field, and close while the
-    rescaled field shrinks towards a flux line.
+    Each Crank-Nicolson step takes the generator at its midpoint (second
+    order in ds) from ``carried_generator``, one matrix object rewritten in
+    place, and makes one CG solve for the increment d = u' - u,
+    (I + ds/2 L) d = -ds L u, from d = 0, so L u is formed once; I + ds/2 L
+    is applied matrix-free, as v + ds/2 (L v).  CG stops at |residual| <
+    CG_RTOL |u - ds/2 L u|, the rule of a solve for u' started at u, whose
+    residuals are the same vectors.  Every solve is preconditioned by the
+    zero-field Crank-Nicolson operator, inverted by fast diagonalization:
+    exact without a field, and close while the rescaled field shrinks
+    towards a flux line.
     The recorded weighted norm is the plain norm of the evolved
     representative, which coincides with the weighted norm of the solution in
     the original representation; the companion plain norm divides the weight
@@ -433,9 +389,26 @@ def evolve_selfsimilar(field, v0, s_final, ds):
         return TrajectoryPoint(time=s, l2_norm=plain, k_norm=state.norm(),
                                boundary_mass=state.boundary_mass())
 
-    points = _crank_nicolson(v0.values, v0.time, s_final - v0.time, ds,
-                             carried_generator(grid, field), record,
-                             precondition=_fast_diagonalization(grid, ds))
+    precondition = _fast_diagonalization(grid, ds)
+    generator_at = carried_generator(grid, field)
+    half = ds / 2.0
+    values, s = v0.values, v0.time
+    points = [record(values, s)]
+    for _ in range(step_count(s_final - s, ds)):
+        matrix = generator_at(s + half)
+        values = _working_values(matrix, values)
+        plus = LinearOperator(matrix.shape, dtype=matrix.dtype,
+                              matvec=lambda v: v + half * (matrix @ v))
+        rhs = matrix @ values
+        atol = CG_RTOL * np.linalg.norm(values - half * rhs)
+        rhs *= -ds
+        step, info = cg(plus, rhs, rtol=0.0, atol=atol, M=precondition)
+        if info != 0:
+            raise SolverConvergenceError(f"Crank-Nicolson CG failed (info={info})")
+        step += values
+        values = step
+        s += ds
+        points.append(record(values, s))
     return NormTrajectory(frame="self-similar", points=points)
 
 

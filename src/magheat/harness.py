@@ -79,31 +79,6 @@ def _check_entries(name, value, checks, allow_none=True):
             raise ConfigError(f"invalid {name} entry {key!r}: {item!r}")
 
 
-# the top-level fields each kind's runner reads, True where it needs them
-# (kind, label, seed and tolerances go with every kind)
-_FIELDS = {
-    "flux": {"field": True},
-    "gauge-check": {"field": True, "grid": False},
-    "spectrum-exact": {"fluxes": False, "count": False},
-    "spectrum-numeric": {"fluxes": False, "count": False, "radial": False},
-    "lambda-curve": {"field": True, "grid": True, "s_values": False},
-    "hardy": {"field": True, "sweep": False, "h": False},
-    "evolve": {"field": True, "grid": True, "evolve": False},
-    "decay-report": {"field": True, "report": False},
-}
-# the tolerances each kind's runner reads
-_TOLERANCES = {
-    "flux": {},
-    "gauge-check": dict.fromkeys(("transversality", "hermiticity", "gauge_invariance"),
-                                 is_finite_real),
-    "spectrum-exact": {},
-    "spectrum-numeric": {"level_rel": is_finite_real},
-    "lambda-curve": {"floor": is_finite_real, "limit_abs": is_finite_real,
-                     "monotone_approach": lambda v: isinstance(v, bool)},
-    "hardy": {"positive": is_finite_real},
-    "evolve": {"oracle_rel": is_finite_real},
-    "decay-report": {},
-}
 # what validate() accepts in each config object
 _RADIAL = {"r_max": lambda v: is_finite_real(v) and v >= RADIAL_MIN_R_MAX,
            "m_points": lambda v: _is_count(v) and v >= RADIAL_MIN_POINTS}
@@ -255,7 +230,7 @@ class ExperimentConfig:
         _check("sweep", self.sweep, _list_of(_is_positive),
                "a non-empty list of positive finite numbers")
         _check_entries("tolerances", self.tolerances,
-                       {k: ok for checks in _TOLERANCES.values() for k, ok in checks.items()},
+                       {k: ok for kind in _KINDS.values() for k, ok in kind.tolerances.items()},
                        allow_none=False)
         _check_entries("radial", self.radial, _RADIAL)
         _check_entries("evolve", self.evolve, _EVOLVE)
@@ -307,14 +282,15 @@ class ExperimentConfig:
                 raise ConfigError("evolve.oracle 'free-gaussian' needs a zero field, "
                                   f"got a {fld.kind} field")
         # after the value checks, so that a bad value is reported as such
-        reads = _FIELDS[self.kind]
-        unread = sorted(name for name in set().union(*_FIELDS.values()) - set(reads)
+        kind = _KINDS[self.kind]
+        every_field = set().union(*(k.fields for k in _KINDS.values()))
+        unread = sorted(name for name in every_field - set(kind.fields)
                         if getattr(self, name) is not None)
         unread += [f"tolerances.{key}" for key in sorted(self.tolerances)
-                   if key not in _TOLERANCES[self.kind]]
+                   if key not in kind.tolerances]
         if unread:
             raise ConfigError(f"kind {self.kind!r} does not read {unread}")
-        missing = [name for name, needed in reads.items()
+        missing = [name for name, needed in kind.fields.items()
                    if needed and getattr(self, name) is None]
         if missing:
             raise ConfigError(f"kind {self.kind!r} requires a {' and a '.join(missing)}")
@@ -657,17 +633,37 @@ def _run_decay_report(cfg):
     }
 
 
-_RUNNERS = {
-    "flux": _run_flux,
-    "gauge-check": _run_gauge_check,
-    "spectrum-exact": _run_spectrum_exact,
-    "spectrum-numeric": _run_spectrum_numeric,
-    "lambda-curve": _run_lambda_curve,
-    "hardy": _run_hardy,
-    "evolve": _run_evolve,
-    "decay-report": _run_decay_report,
+@dataclass(frozen=True)
+class _Kind:
+    """One experiment kind: the top-level fields its runner reads, True where
+    it needs them (kind, label, seed and tolerances go with every kind), the
+    tolerances it reads with their checks, and the runner."""
+
+    fields: dict
+    tolerances: dict
+    run: object
+
+
+_KINDS = {
+    "flux": _Kind({"field": True}, {}, _run_flux),
+    "gauge-check": _Kind({"field": True, "grid": False},
+                         dict.fromkeys(("transversality", "hermiticity", "gauge_invariance"),
+                                       is_finite_real),
+                         _run_gauge_check),
+    "spectrum-exact": _Kind({"fluxes": False, "count": False}, {}, _run_spectrum_exact),
+    "spectrum-numeric": _Kind({"fluxes": False, "count": False, "radial": False},
+                              {"level_rel": is_finite_real}, _run_spectrum_numeric),
+    "lambda-curve": _Kind({"field": True, "grid": True, "s_values": False},
+                          {"floor": is_finite_real, "limit_abs": is_finite_real,
+                           "monotone_approach": lambda v: isinstance(v, bool)},
+                          _run_lambda_curve),
+    "hardy": _Kind({"field": True, "sweep": False, "h": False},
+                   {"positive": is_finite_real}, _run_hardy),
+    "evolve": _Kind({"field": True, "grid": True, "evolve": False},
+                    {"oracle_rel": is_finite_real}, _run_evolve),
+    "decay-report": _Kind({"field": True, "report": False}, {}, _run_decay_report),
 }
-EXPERIMENT_KINDS = tuple(_RUNNERS)
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def default_out_dir():
@@ -687,7 +683,7 @@ def run(config, out_dir=None):
     base = (Path(out_dir) if out_dir is not None else default_out_dir()).resolve()
     out = base / config.label
     t0 = time.perf_counter()
-    summary, tables = _RUNNERS[config.kind](config)
+    summary, tables = _KINDS[config.kind].run(config)
     summary = {"kind": config.kind, "label": config.label, "seed": config.seed,
                **summary}
     summary["pass"] = bool(all(summary["flags"].values()))

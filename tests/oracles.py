@@ -1,10 +1,11 @@
 """Independent oracles that only the tests call.
 
-``cn_step`` takes one step of the package's Crank-Nicolson loop,
-``_crank_nicolson``, with a fixed generator and no preconditioner: the
-checks of that loop's Pade map run through it, and stepping it reproduces
-the physical norm curves that ``evolve_physical`` takes from one Lanczos
-quadrature.
+``cn_step`` takes one Crank-Nicolson step by a direct sparse solve, sharing
+no code with ``evolve_selfsimilar``'s CG loop: the checks of the Pade map
+run through it, stepping it on a fresh generator at each midpoint
+reproduces the self-similar runs, and stepping it on the fixed generator
+reproduces the physical norm curves that ``evolve_physical`` takes from one
+Lanczos quadrature.
 ``alpha_node_by_node`` evaluates ``alpha_batch``'s off-centre quadrature
 rule one ray and one node at a time, through the profile function at
 Cartesian nodes, as the exact reference for the blocked kernel.
@@ -22,18 +23,20 @@ from dataclasses import replace
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import quad
+from scipy.sparse.linalg import spsolve
 
-from magheat.evolve import _crank_nicolson
 from magheat.field import _GL64_UNIT, _GL64_WEIGHTS, _profile_sq, alpha_batch
 
 
 def cn_step(op, state, dt):
-    """One Crank-Nicolson step of u' = -L u; unconditionally stable and norm
-    non-increasing for Hermitian positive semidefinite L."""
+    """One Crank-Nicolson step of u' = -L u, (I + dt/2 L) u' = (I - dt/2 L) u
+    solved by sparse LU; unconditionally stable and norm non-increasing for
+    Hermitian positive semidefinite L."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    values = _crank_nicolson(state.values, state.time, dt, dt, lambda _: op.matrix,
-                             lambda v, _: v)[-1]
+    half = dt / 2.0
+    eye = sp.identity(op.matrix.shape[0], dtype=op.matrix.dtype, format="csc")
+    values = spsolve((eye + half * op.matrix).tocsc(), (eye - half * op.matrix) @ state.values)
     return replace(state, values=values, time=state.time + dt)
 
 

@@ -420,27 +420,24 @@ def test_generator_rebuilt_only_when_it_changes(monkeypatch, zero_field, step_ha
         assert len(seen) == 1, (frame, field.is_zero)
 
 
-def test_crank_nicolson_keeps_its_solver_for_a_generator_updated_in_place(monkeypatch, rng):
-    # matrix_at hands back one matrix object and rewrites its data in place:
-    # the driver builds one solver, and each step solves with that step's data
-    import magheat.evolve as ev
-
-    built = []
-    _spy(monkeypatch, "_cn_solver", built, lambda matrix, dt, precondition: matrix)
-    grid, dt, sigmas = mh.build_grid(4.0, 16), 0.1, (0.5, 2.0, 7.0)
-    matrix = sp.identity(grid.size, dtype=complex, format="csr")
-
-    def matrix_at(t):
-        matrix.data[:] = sigmas[int(t / dt)]
-        return matrix
-
-    values = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
-    points = ev._crank_nicolson(values, 0.0, dt * len(sigmas), dt, matrix_at, lambda v, _: v)
-    assert len(built) == 1 and built[0] is matrix
-    expected = values
-    for sigma, out in zip(sigmas, points[1:]):
-        expected = expected * (1.0 - sigma * dt / 2.0) / (1.0 + sigma * dt / 2.0)
-        assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
+@pytest.mark.parametrize("n", [48, 49])
+def test_selfsimilar_steps_match_direct_solves_on_fresh_generators(monkeypatch, offset_bump, n):
+    # every self-similar step is one CG solve, and the run's norms are those
+    # of direct Crank-Nicolson solves on the generator assembled afresh at
+    # each step's midpoint (agreeing to a few 1e-14)
+    solves = []
+    _spy(monkeypatch, "cg", solves, lambda *args: None)
+    grid, ds, steps = mh.build_grid(6.0, n), 0.05, 4
+    v0 = mh.gaussian_state(grid, 1.0, frame="self-similar")
+    traj = mh.evolve_selfsimilar(offset_bump, v0, ds * steps, ds)
+    assert len(solves) == steps
+    state = v0
+    norms = [state.norm()]
+    for _ in range(steps):
+        phases = mh.peierls_phases(grid, offset_bump, s=state.time + ds / 2.0)
+        state = cn_step(mh.assemble_magnetic(phases, harmonic=True), state, ds)
+        norms.append(state.norm())
+    assert np.max(np.abs(traj.k_norms / np.array(norms) - 1.0)) <= 1e-10
 
 
 def _check_carried_generator(monkeypatch, request, field_name, n, run, calls):
