@@ -17,6 +17,10 @@ class SolverConvergenceError(MagheatError, RuntimeError):
     """Eigensolver or linear solver failed to converge."""
 
 
+class SymmetryError(MagheatError, RuntimeError):
+    """Operator departs from a symmetry of its field by more than rounding."""
+
+
 class BoundaryContaminationError(MagheatError, RuntimeError):
     """Evolved solution reached the truncated domain boundary."""
 

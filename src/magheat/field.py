@@ -133,6 +133,12 @@ class MagneticField:
         """JSON-ready preset descriptor, the harness wire format."""
         return {"kind": self.kind, "params": dict(self.params)}
 
+    @property
+    def mirror_symmetric(self):
+        """True when B(-x, y) = B(x, y) by construction: every component is
+        centred on the y-axis."""
+        return all(c.center[0] == 0.0 for c in self.components)
+
 
 def is_finite_real(value):
     """True for a finite real number; booleans and strings are not numbers here."""
@@ -180,8 +186,6 @@ def make_field(kind, params):
         b0 = _real("target flux", p.get("target", 1.0)) / (radius**2 * BUMP_FLUX_UNIT)
     else:
         b0 = _real("amplitude b0", p.get("b0", 1.0))
-    if not math.isfinite(b0):
-        raise PresetError(f"amplitude {b0} is not finite")
     cx = cy = 0.0
     if kind in ("offset-bump", "dipole-pair"):
         center = p.get("center", (0.0, 0.0) if kind == "offset-bump" else (1.5, 0.0))
@@ -202,6 +206,10 @@ def make_field(kind, params):
     else:
         profile = "step" if kind == "radial-step" else "bump"
         comps = (FieldComponent(profile, b0, radius, (cx, cy)),)
+    for comp in comps:
+        if not math.isfinite(comp.flux()):
+            raise PresetError(f"component flux {comp.flux()} is not finite "
+                              f"(amplitude {comp.amplitude}, radius {comp.radius})")
     return MagneticField(kind=kind, params=p, components=comps, support_radius=support)
 
 

@@ -12,7 +12,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, lobpcg, splu
 
 from .discretize import (DiscreteOperator, assemble_magnetic, build_grid, check_s_cap,
-                         harmonic_axis_eigh, peierls_phases)
+                         harmonic_axis_eigh, mirror_fold, peierls_phases)
 from .errors import SolverConvergenceError
 from .evolve import carried_generator
 from .field import beta_of
@@ -226,6 +226,18 @@ def lambda_curve(field, s_values, grid, tol=1e-8, seed=0):
     needed).  A sample whose LOBPCG residual misses
     ``LOBPCG_TOL_FRACTION * tol``, or that falls below the floor, is solved
     again by shift-invert on a fresh factor, which the later samples then use.
+
+    A field with B(-x, y) = B(x, y) (``field.mirror_symmetric``: every
+    component centred on the y-axis, so every radial field) makes ``L(s)``
+    commute with the antiunitary u -> conj(u o R), R the mirror x -> -x of
+    the grid.  Each ``generator_at(s)`` is then folded by
+    ``discretize.mirror_fold`` into a real symmetric matrix of the same
+    size, unitarily equivalent to ``L(s)``, and the factor, eigsh (ARPACK's
+    symmetric ``dsaupd``), LOBPCG and the ``START_NOISE`` draws all run in
+    float64; the fold raises ``errors.SymmetryError`` if the operator departs
+    from its mirror image by more than rounding.  The carried generator
+    itself stays complex, and every other field (off-centre, or centred off
+    the y-axis) and the zero field run on ``L(s)`` as it is.
     """
     s_values = [float(s) for s in s_values]
     if any(s < 0 for s in s_values):
@@ -237,10 +249,14 @@ def lambda_curve(field, s_values, grid, tol=1e-8, seed=0):
     _check_eigs_args(grid.size, k, tol, sigma)
     rng = np.random.default_rng(seed)
     generator_at = carried_generator(grid, field)
+    # a zero field's generator is real already
+    fold = mirror_fold(grid) if field.mirror_symmetric and not field.is_zero else None
     lu = None
     samples = []
     for s in s_values:
         matrix = generator_at(s)
+        if fold is not None:
+            matrix = fold(matrix)
         pairs, iterations = None, 0
         if lu is not None:
             pairs, residual, iterations = _preconditioned_eigs(matrix, lu, sigma, previous,

@@ -24,7 +24,9 @@ def test_build_grid_spacing():
 @pytest.mark.parametrize("r_dom, n", [
     (math.nan, 32), (math.inf, 32), ("7", 32), (None, 32), (True, 32),
     pytest.param(10**400, 32, id="int-beyond-float-32"),
-    (4.0, 32.5), (4.0, "32"), (4.0, math.nan), (4.0, math.inf), (4.0, True)])
+    (4.0, 32.5), (4.0, "32"), (4.0, math.nan), (4.0, math.inf), (4.0, True),
+    # h^2 underflows to 0, or r_dom^2/16 overflows
+    (1e-300, 32), (1e200, 32)])
 def test_build_grid_rejects_malformed(r_dom, n):
     with pytest.raises(ValueError):
         mh.build_grid(r_dom, n)
@@ -343,6 +345,67 @@ def test_discrete_gauge_invariance(step_half, rng):
     op2 = mh.assemble_magnetic(phases.gauge_transformed(chi), harmonic=True)
     vals2 = np.array([p[0] for p in mh.smallest_eigs(op2, k=6)[0]])
     assert np.max(np.abs(vals - vals2)) < 1e-10
+
+
+def _dense_mirror_unitary(n):
+    """The fold's W, entry by entry: rows a_p, b_p of each top-half node p =
+    (i, j), i < n // 2, interleaved in node order, then the centre row."""
+    m, centre = divmod(n, 2)
+    w = np.zeros((n * n, n * n), dtype=complex)
+    for i in range(m):
+        for j in range(n):
+            p, mirror = i * n + j, (n - 1 - i) * n + j
+            w[2 * p, [p, mirror]] = 1.0 / math.sqrt(2.0)
+            w[2 * p + 1, [p, mirror]] = np.array([1.0, -1.0]) / (1j * math.sqrt(2.0))
+    for j in range(n * centre):
+        w[2 * m * n + j, m * n + j] = 1.0
+    return w
+
+
+@pytest.mark.parametrize("s", [None, 1.3])
+@pytest.mark.parametrize("n", [16, 17])
+@pytest.mark.parametrize("kind, params", [
+    ("radial-step", {"b0": 1.0, "r": 1.0}),
+    ("radial-bump", {"b0": 1.0, "r": 1.0}),
+    ("dipole-pair", {"b0": 1.0, "r": 0.5, "center": [0.0, 1.5]})])
+def test_mirror_fold_matches_the_dense_unitary(kind, params, n, s):
+    # oracle: W L W^H formed densely; it must be real to rounding, the fold
+    # its real part, and the spectrum that of L
+    from scipy.linalg import eigvalsh
+
+    from magheat.discretize import mirror_fold
+
+    field = mh.make_field(kind, params)
+    assert field.mirror_symmetric
+    grid = mh.build_grid(4.0, n)
+    L = mh.assemble_magnetic(mh.peierls_phases(grid, field, s=s), harmonic=True).matrix
+    folded = mirror_fold(grid)(L)
+    assert folded.dtype == np.float64 and folded.shape == L.shape
+    assert abs(folded - folded.T).max() == 0.0
+    w = _dense_mirror_unitary(n)
+    dense = w @ L.toarray() @ w.conj().T
+    scale = abs(L).max()
+    assert np.abs(dense.imag).max() <= 1e-15 * scale
+    assert np.abs(dense.real - folded.toarray()).max() <= 1e-15 * scale
+    assert np.allclose(eigvalsh(folded.toarray()), eigvalsh(L.toarray()), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_mirror_fold_rejects_an_asymmetric_operator(step_half, offset_bump, rng, n):
+    # a gauge transform keeps the spectrum but breaks the mirror relation of
+    # the phases; an off-centre field breaks it in the field itself
+    from magheat.discretize import mirror_fold
+    from magheat.errors import SymmetryError
+
+    grid = mh.build_grid(4.0, n)
+    phases = mh.peierls_phases(grid, step_half, s=1.3)
+    fold = mirror_fold(grid)
+    fold(mh.assemble_magnetic(phases, harmonic=True).matrix)
+    chi = rng.standard_normal((n, n))
+    for asymmetric in (phases.gauge_transformed(chi), phases.gauge_transformed(1e-9 * chi),
+                       mh.peierls_phases(grid, offset_bump, s=1.3)):
+        with pytest.raises(SymmetryError, match="mirror image"):
+            fold(mh.assemble_magnetic(asymmetric, harmonic=True).matrix)
 
 
 # ---------------------------------------------------------------------------

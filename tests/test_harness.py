@@ -272,7 +272,22 @@ MALFORMED = {
                        "grid": {"r_dom": math.nan, "n": 32}},
     "grid-n-fractional": {"kind": "lambda-curve", "field": _STEP,
                           "grid": {"r_dom": 7.0, "n": 32.5}},
+    # 1/h^2 is a division by zero (h^2 = 0) or r_dom^2/16 overflows
+    "grid-r_dom-tiny": {"kind": "lambda-curve", "field": _STEP,
+                        "grid": {"r_dom": 1e-300, "n": 32}},
+    "grid-r_dom-tiny-evolve": {"kind": "evolve", "field": _STEP,
+                               "grid": {"r_dom": 1e-300, "n": 32}},
+    "grid-r_dom-huge": {"kind": "lambda-curve", "field": _STEP,
+                        "grid": {"r_dom": 1e200, "n": 32}},
     "field-b0-string": {"kind": "flux", "field": {"kind": "radial-step", "params": {"b0": "a"}}},
+    # a finite amplitude whose flux b0 r^2 / 2 overflows
+    "field-flux-overflow": {"kind": "lambda-curve",
+                            "field": {"kind": "radial-step", "params": {"b0": 1e308, "r": 3.0}},
+                            "grid": _GRID},
+    "field-flux-overflow-evolve": {"kind": "evolve",
+                                   "field": {"kind": "radial-step",
+                                             "params": {"b0": 1e308, "r": 3.0}},
+                                   "grid": _GRID},
     "field-center-string": {"kind": "flux",
                             "field": {"kind": "offset-bump", "params": {"center": ["a", 0.0]}}},
     "field-center-scalar": {"kind": "flux",

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 import magheat as mh
+from magheat.discretize import mirror_fold
 from magheat.errors import ResolutionCapError
 from magheat.spectral import infimum_gap
 from oracles import variational_upper_bound
@@ -121,14 +122,19 @@ def test_shift_invert_solves_factor_through_one_path(monkeypatch, step_half):
     assert calls == [expected]
 
 
-@pytest.mark.parametrize("flux", [0.9, 0.5])
-def test_lambda_curve_matches_a_fresh_factor_at_every_s(flux):
+@pytest.mark.parametrize("flux, n", [
+    pytest.param(flux, 64, id=str(flux)) for flux in (0.9, 0.5, 0.7, 1.3)] + [
+    pytest.param(0.9, 65, id="0.9-odd")])
+def test_lambda_curve_matches_a_fresh_factor_at_every_s(flux, n):
     # later samples run LOBPCG preconditioned by the first sample's factor;
     # at flux 0.9 the ground state changes symmetry class between s = 1.5 and
     # s = 2, where a start from the previous eigenvector alone converges to
-    # 0.749195 instead of 0.742666; half flux solves the degenerate pair (k=2)
+    # 0.749195 instead of 0.742666; half flux solves the degenerate pair (k=2);
+    # 0.7 and 1.3 are the other class-crossing fluxes, and the odd grid folds
+    # a centre row.  The reference is a fresh shift-invert solve of the
+    # complex operator, the curve's own runs on the folded real one.
     field = mh.make_field("radial-step", {"b0": 2 * flux / 9.0, "r": 3.0})
-    grid = mh.build_grid(7.0, 64)
+    grid = mh.build_grid(7.0, n)
     s_values = [0.0, 0.5, 1.0, 1.5, 2.0]
     sigma = mh.spectral._diamagnetic_floor(grid) - mh.spectral.SHIFT_BELOW_FLOOR
     k = 2 if flux == 0.5 else 1
@@ -140,6 +146,28 @@ def test_lambda_curve_matches_a_fresh_factor_at_every_s(flux):
         pairs, _, _ = mh.smallest_eigs(op, k=k, sigma=sigma)
         assert smp.lam == pytest.approx(pairs[0][0], rel=1e-10, abs=0.0), s
         assert smp.residual <= 1e-8
+
+
+@pytest.mark.parametrize("field_name, dtype", [
+    ("step_half", np.float64), ("offset_bump", np.complex128), ("dipole", np.complex128)])
+def test_lambda_curve_factors_mirror_symmetric_fields_in_real_arithmetic(
+        monkeypatch, request, field_name, dtype):
+    # a field with B(-x, y) = B(x, y) is folded into a real operator; the
+    # offset bump and the dipole pair on the x-axis keep the complex one
+    field = request.getfixturevalue(field_name)
+    seen = []
+    real_splu = mh.spectral.splu
+
+    def spying_splu(matrix, **kwargs):
+        seen.append(matrix.dtype)
+        return real_splu(matrix, **kwargs)
+
+    monkeypatch.setattr(mh.spectral, "splu", spying_splu)
+    grid = mh.build_grid(4.0, 48)   # resolution cap s_max = 0.85 for step_half
+    samples = mh.lambda_curve(field, [0.0, 0.25], grid)
+    assert seen == [dtype]
+    assert field.mirror_symmetric == (dtype == np.float64)
+    assert all(smp.residual <= 1e-8 for smp in samples)
 
 
 def _stalled_lobpcg(A, X, **kwargs):
@@ -154,7 +182,8 @@ def _broken_lobpcg(A, X, **kwargs):
 def test_lambda_curve_falls_back_to_a_fresh_factor(monkeypatch, step_half, fake_lobpcg):
     # a LOBPCG that returns its start block unchanged misses the residual
     # check at every later s, and one that raises gives no pairs; each such s
-    # is then solved by eigsh on its own factor of the carried generator
+    # is then solved by eigsh on its own factor of the carried generator,
+    # folded into a real matrix since the field is mirror-symmetric
     from magheat.evolve import carried_generator
 
     grid = mh.build_grid(4.0, 48)   # resolution cap s_max = 0.85
@@ -175,13 +204,18 @@ def test_lambda_curve_falls_back_to_a_fresh_factor(monkeypatch, step_half, fake_
         samples = mh.lambda_curve(step_half, s_values, grid)
     assert len(factors) == len(s_values)
     generator_at = carried_generator(grid, step_half)
+    fold = mirror_fold(grid)
     for smp, ref, s in zip(samples, expected, s_values):
-        op = mh.DiscreteOperator(grid=grid, matrix=generator_at(s))
+        matrix = generator_at(s)
+        op = mh.DiscreteOperator(grid=grid, matrix=fold(matrix))
         pairs, residual, solves = mh.smallest_eigs(op, k=2, sigma=sigma)
         assert smp.lam == pairs[0][0] and smp.residual == residual
         # the fake LOBPCG made no solves; eigsh's are counted
         assert smp.iterations == solves
         assert smp.lam == pytest.approx(ref.lam, rel=1e-10, abs=0.0)
+        op = mh.DiscreteOperator(grid=grid, matrix=matrix)
+        assert smp.lam == pytest.approx(mh.smallest_eigs(op, k=2, sigma=sigma)[0][0][0],
+                                        rel=1e-10, abs=0.0)
 
 
 def test_lambda_curve_resolution_cap(step_half):
