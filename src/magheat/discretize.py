@@ -39,9 +39,10 @@ RADIAL_MIN_POINTS = 500
 # the grid
 _BLOCK_POINTS = 1 << 15
 
-# largest phase defect, in radians, that ``mirror_fold`` takes for rounding:
-# the radial fields and the dipole pair on the y-axis showed at most 1.7e-15
-# over s = 0..4.5 at n = 64..448, and a gauge transform by 1e-9 chi is caught
+# largest phase defect, in radians, that a folded build takes for rounding:
+# the radial step and bump and the dipole pair on the y-axis showed at most
+# 1.1e-16 over s = 0..4.5 at n = 64..448, and a gauge transform by 1e-9 chi
+# is caught
 MIRROR_TOL = 1e-12
 
 
@@ -57,7 +58,9 @@ class Grid2D:
         return 2.0 * self.r_dom / (self.n + 1)
 
     def axis(self):
-        return -self.r_dom + self.h * (np.arange(self.n) + 1.0)
+        # h (i - (n - 1)/2) rather than -r_dom + h (i + 1): the same nodes, with
+        # x_{n-1-i} = -x_i exactly, so a function even in x is sampled even
+        return self.h * (np.arange(self.n) - (self.n - 1) / 2.0)
 
     def mesh(self):
         x = self.axis()
@@ -296,7 +299,13 @@ def _write_hops(data, ptr, phases, box_h, box_v, indices=None):
         data[back] = -hop.conj()
 
 
-def assemble_magnetic(phases, harmonic):
+def _node_diagonal(grid, i, j, harmonic):
+    """The stencil's diagonal at nodes (i, j): 4/h^2, plus |x|^2/16 when harmonic."""
+    x, h = grid.axis(), grid.h
+    return 4.0 / h**2 + (x[i]**2 + x[j]**2) / 16.0 if harmonic else 4.0 / h**2
+
+
+def assemble_magnetic(phases, harmonic, folded=False):
     """Five-point Peierls stencil on ``phases.grid``; adds |x|^2/16 at node x
     on the diagonal when harmonic.
 
@@ -308,10 +317,13 @@ def assemble_magnetic(phases, harmonic):
     size, ``indptr`` from the pattern's row counts, and written in blocks of
     rows of nodes, at most ``_BLOCK_POINTS`` nodes each: the diagonal, then
     by ``_write_hops`` the hops and columns of the edges leaving the block.
+    ``folded`` builds the real operator W L W^H of a mirror-symmetric field
+    instead (``_assemble_folded``).
     """
     grid = phases.grid
-    n, h = grid.n, grid.h
-    x = grid.axis()
+    if folded:
+        return DiscreteOperator(grid=grid, matrix=_assemble_folded(phases, harmonic))
+    n = grid.n
 
     # a vanishing gauge keeps the operator real symmetric, which halves the
     # cost of the zero-field baselines
@@ -333,17 +345,15 @@ def assemble_magnetic(phases, harmonic):
         k = i * n + j
         diag = ptr[k] + (i > 0) + (j > 0)     # after the row's -n and -1 entries
         indices[diag] = k
-        data[diag] = 4.0 / h**2 + (x[i]**2 + x[j]**2) / 16.0 if harmonic else 4.0 / h**2
+        data[diag] = _node_diagonal(grid, i, j, harmonic)
         _write_hops(data, ptr, phases, (slice(rows.start, min(rows.stop, n - 1)), slice(0, n)),
                     (rows, slice(0, n - 1)), indices)
     matrix = sp.csr_matrix((data, indices, ptr), shape=(grid.size, grid.size))
     return DiscreteOperator(grid=grid, matrix=matrix)
 
 
-def mirror_fold(grid):
-    """``fold(matrix)``: a Peierls operator on ``grid`` of a mirror-symmetric
-    field (``field.mirror_symmetric``) as a real symmetric matrix of the same
-    size, unitarily equivalent to it.
+def _assemble_folded(phases, harmonic):
+    """W L W^H as a real CSR matrix, for ``phases`` of a mirror-symmetric field.
 
     With B(-x, y) = B(x, y) the transverse gauge gives ``qh[n-2-i, j] =
     qh[i, j]`` and ``qv[n-1-i, j] = -qv[i, j]``, so the node mirror
@@ -351,137 +361,241 @@ def mirror_fold(grid):
     with the antiunitary u -> conj(u o R).  The unitary W that takes each
     node p of the top m = n // 2 rows and its mirror to a_p = (u_p + u_Rp)/sqrt(2)
     and b_p = (u_p - u_Rp)/(i sqrt(2)), and each centre-row node of an odd
-    grid to itself, maps the vectors that map fixes to real ones, so
-    W L W^H is real.  Its rows are a_p, b_p interleaved in node order, then
-    the centre row.  An entry z = L[p, q] = x + i y of a top row and its
-    mirror fold into ``x (a_p a_q + b_p b_q) + y (b_p a_q - a_p b_q)`` for q
-    in the top rows, ``x (a_p a_q' - b_p b_q') + y (a_p b_q' + b_p a_q')``
-    for q = R q' in the bottom rows and ``sqrt(2) c_q (x a_p + y b_p)`` for
-    q in the centre row; a centre-row entry to another centre node keeps x.
-    So for every top row of nodes but the last the fold is a copy: rows a_p
-    and b_p hold, for each entry of row p in turn, the pairs (x, -y) and
-    (y, x) at the columns a_q, b_q, the diagonal's zero y included.  The
-    last top row and the centre row, where the bottom and centre terms fall,
-    go through a small sparse map from the real view of their entries.  Both
-    are set up from the first matrix's CSR pattern, and every later matrix
-    must share it, as a carried generator's does.
-
-    What the fold drops of W L W^H, its imaginary part and its real part's
-    difference from the fold, is at each entry a sum of at most two mirror
-    defects L[Rp, Rq] - conj(L[p, q]), each times 1/2 or 1/sqrt(2); the fold
-    raises :class:`SymmetryError` when a defect exceeds ``MIRROR_TOL / h^2``,
-    the size of a phase off its mirror by ``MIRROR_TOL``.
+    grid to itself, c_p = u_p, maps the vectors that map fixes to real ones,
+    so W L W^H is real symmetric, of L's size and spectrum.  Its coordinates
+    are a_p, b_p interleaved in node order (2p, 2p + 1), then the centre row
+    (2 m n + j).  An entry z = L[p, q] = x + i y between top nodes fills the
+    pairs (x, -y) of row a_p and (y, x) of row b_p at the columns a_q, b_q,
+    the diagonal's zero y included; so rows a_p and b_p hold one pair per
+    top node among p and its neighbours.  The edges across the mirror line
+    fold onto the top half: on an even grid z = L[p, Rp] of the last top row
+    adds [[x, y], [y, -x]] to p's diagonal pair, on an odd grid z = L[p, q]
+    to the centre node q below p gives sqrt(2) x at (a_p, c_q) and
+    sqrt(2) y at (b_p, c_q), and a centre-row hop keeps x.  The bottom
+    half's phases only enter the mirror check.  ``_write_folded_rows``
+    writes the rows of blocks of top rows of nodes, at most
+    ``_BLOCK_POINTS`` nodes each, the centre row with the last block;
+    ``rewrite_hops`` writes the rows of its box with it.
     """
-    tol = MIRROR_TOL / grid.h**2
-    fold_map = None
-
-    def fold(matrix):
-        nonlocal fold_map
-        if fold_map is None:
-            fold_map = _mirror_fold_map(grid.n, matrix.indptr, matrix.indices)
-        mirror, a_at, b_at, tail, indices, ptr = fold_map
-        data = matrix.data
-        # |conj(L[Rp, Rq]) - L[p, q]|, without a second copy of the entries
-        defect = data[mirror]
-        np.conjugate(defect, out=defect)
-        defect -= data[:mirror.size]
-        worst = float(np.abs(defect).max())
-        if not worst <= tol:
-            raise SymmetryError(
-                f"operator departs from its mirror image by {worst:.3e} > {tol:.3e}: "
-                "the field is not symmetric under x -> -x")
-        del defect
-        out = np.empty(indices.size)
-        pairs = out[:4 * a_at.size].view(np.complex128)
-        z = np.conjugate(data[:a_at.size])
-        pairs[a_at] = z
-        z *= 1j
-        pairs[b_at] = z
-        out[4 * a_at.size:] = tail @ data[a_at.size:mirror.size].view(np.float64)
-        return sp.csr_matrix((out, indices, ptr), shape=matrix.shape)
-
-    return fold
-
-
-def _mirror_fold_map(n, indptr, indices):
-    """``(mirror, a_at, b_at, tail, indices, indptr)`` of ``mirror_fold`` on
-    an n x n grid, for a CSR pattern ``(indptr, indices)`` with sorted rows:
-    the position of each top- and centre-row entry's mirror; the pair
-    positions, in the folded data, of the a_p and b_p copies of each entry
-    of the top rows but the last; the sparse map from the real view of the
-    other top- and centre-row entries to the rest of the folded data; and
-    the folded pattern."""
-    size = n * n
+    grid = phases.grid
+    n = grid.n
     m, centre = divmod(n, 2)
-    bulk = (m - 1) * n                  # the top nodes whose neighbours are all top nodes
-    nodes = (m + centre) * n            # the top and centre nodes
-    copied, stop = int(indptr[bulk]), int(indptr[nodes])
-    node = np.arange(size, dtype=np.int32)
-    i = node // n
-    top, mid = i < m, (i == m) & bool(centre)
-    flip = (n - 1 - 2 * i) * n          # R moves flat index k to k + flip[k]
-    rows = np.repeat(node[:nodes], np.diff(indptr[:nodes + 1]))
-    cols = indices[:stop]
-    keys = np.repeat(node.astype(np.int64), np.diff(indptr)) * size + indices
-    mirror = np.searchsorted(keys, (rows + flip[rows]).astype(np.int64) * size
-                             + cols + flip[cols]).astype(np.int32)
-    del keys
+    ptr = _folded_indptr(n)
+    data = np.empty(ptr[-1])
+    indices = np.empty(ptr[-1], dtype=np.int32)
+    for rows in _row_blocks(slice(0, m + centre), n):
+        _write_folded_rows(data, ptr, phases, rows, slice(0, n), harmonic, indices)
+    return sp.csr_matrix((data, indices, ptr), shape=(grid.size, grid.size))
 
-    # the copied rows: the k-th pair of row a_p (b_p) sits k places after the
-    # row's start, 2 indptr[p] (2 indptr[p] + the row's length) pairs in
-    entry = np.arange(copied, dtype=np.int32)
-    a_at = indptr[rows[:copied]] + entry
-    b_at = indptr[rows[:copied] + 1] + entry
-    copied_cols = np.empty((2 * copied, 2), dtype=np.int32)
-    for at in (a_at, b_at):
-        copied_cols[at] = 2 * cols[:copied, None] + np.array([0, 1], dtype=np.int32)
 
-    # the other rows, term by term: (entries, folded row, folded column,
-    # source in the real view of their data, coefficient)
-    rows, cols = rows[copied:], cols[copied:]
-    rep = np.where(top, 2 * node, 2 * (node + flip))  # a_p of p or its mirror, c_p of a centre node
-    rep[mid] = 2 * m * n + node[mid] % n
-    pt, qt, qc = top[rows], top[cols], mid[cols]
-    a_p, a_q = rep[rows], rep[cols]
-    re = 2 * np.arange(rows.size, dtype=np.int32)
-    im = re + 1
-    sign = np.where(qt, 1.0, -1.0)
-    four = pt & ~qc
-    off = four & (rows != cols)         # a diagonal's Im z is 0
-    r2 = math.sqrt(2.0)
-    terms = [(four, a_p, a_q, re, 1.0), (four, a_p + 1, a_q + 1, re, sign),
-             (off, a_p, a_q + 1, im, -sign), (off, a_p + 1, a_q, im, 1.0),
-             (pt & qc, a_p, a_q, re, r2), (pt & qc, a_p + 1, a_q, im, r2),
-             (~pt & qt, a_p, a_q, re, r2), (~pt & qt, a_p, a_q + 1, im, -r2),
-             (~pt & qc, a_p, a_q, re, 1.0)]
-    fold_rows, fold_cols, src, coef = (
-        np.concatenate([np.broadcast_to(t[k], rows.shape)[t[0]] for t in terms])
-        for k in range(1, 5))
-    slots, slot = np.unique(fold_rows.astype(np.int64) * size + fold_cols,
-                            return_inverse=True)
-    tail = sp.csr_matrix((coef, (slot, src)), shape=(slots.size, 2 * rows.size))
+# slots of row a_p (and of row b_p) of a top node p in a folded build: a
+# pair for each of p - n, p - 1, p, p + 1 and p + n, then on an odd grid
+# the centre column
+_FOLDED_SLOTS = 11
 
-    ptr = np.empty(size + 1, dtype=np.int32)
-    ptr[0:2 * bulk + 1:2] = 4 * indptr[:bulk + 1]
-    ptr[1:2 * bulk:2] = 2 * (indptr[:bulk] + indptr[1:bulk + 1])
-    np.cumsum(np.bincount(slots // size - 2 * bulk, minlength=size - 2 * bulk),
-              out=ptr[2 * bulk + 1:])
-    ptr[2 * bulk + 1:] += ptr[2 * bulk]
-    folded_cols = np.concatenate([copied_cols.ravel(), (slots % size).astype(np.int32)])
-    return mirror, a_at, b_at, tail, folded_cols, ptr
+
+def _folded_indptr(n):
+    """``indptr`` of ``_assemble_folded`` on an n x n grid: rows a_p and b_p
+    hold a pair for p and for each top neighbour of p, and on an odd grid
+    the last top row adds its centre neighbour; a centre row holds a_q, b_q
+    of the top node above it, itself and its centre neighbours."""
+    m, centre = divmod(n, 2)
+    i, j = np.ogrid[0:m, 0:n]
+    top = 2 * (1 + (i > 0) + (j > 0) + (j < n - 1) + (i < m - 1)) + centre * (i == m - 1)
+    jc = np.arange(centre * n)
+    ptr = np.zeros(n * n + 1, dtype=np.int32)
+    np.cumsum(np.concatenate([np.repeat(top.ravel(), 2), 3 + (jc > 0) + (jc < n - 1)]),
+              out=ptr[1:])
+    return ptr
+
+
+def _hops(angles, h):
+    """The hops -exp(-i Q)/h^2 of edges of phase Q, bit for bit those of
+    ``_write_hops``."""
+    hop = np.exp(-1j * angles) / h**2
+    return np.negative(hop, out=hop)
+
+
+def _check_mirror(phases, box_h, box_v):
+    """Raise :class:`SymmetryError` unless ``qh[n-2-i, j] = qh[i, j]`` on the
+    ``qh`` edges in ``box_h`` and ``qv[n-1-i, j] = -qv[i, j]`` on the ``qv``
+    edges in ``box_v``, each to ``MIRROR_TOL``."""
+    n = phases.grid.n
+    worst = 0.0
+    for q, (rows, cols), shift, sign in ((phases.qh, box_h, 1, -1.0),
+                                         (phases.qv, box_v, 0, 1.0)):
+        a, b = rows.start, rows.stop
+        if a < b and cols.start < cols.stop:
+            mirror = q[n - shift - b:n - shift - a, cols][::-1]
+            worst = max(worst, float(np.abs(q[rows, cols] + sign * mirror).max()))
+    if not worst <= MIRROR_TOL:
+        raise SymmetryError(
+            f"phases depart from their mirror image by {worst:.3e} > {MIRROR_TOL:.0e}: "
+            "the field is not symmetric under x -> -x")
+
+
+def _padded_hops(q, rows, lo, hi, h):
+    """``_hops`` of ``q[rows, lo:hi]``, with zero angles where ``lo`` or
+    ``hi`` falls off ``q``'s columns."""
+    angles = np.zeros((rows.stop - rows.start, hi - lo))
+    inside = slice(max(lo, 0), min(hi, q.shape[1]))
+    angles[:, inside.start - lo:inside.stop - lo] = q[rows, inside]
+    return _hops(angles, h)
+
+
+def _write_folded_rows(data, ptr, phases, rows, cols, harmonic, indices=None):
+    """Write ``_assemble_folded``'s rows of the nodes in ``rows`` x ``cols``
+    (slices of the grid's rows and columns; only top and centre rows are
+    written), with their columns into ``indices`` when given, after
+    ``_check_mirror`` of every edge at those nodes.  An entry's value
+    depends on the phases alone, so rewriting a node whose edges did not
+    change writes the same bits.
+
+    A node with all four neighbours in the top half has 20 entries, the
+    pairs of p - n, p - 1, p, p + 1 and p + n in row a_p, then in row b_p;
+    so on a row of nodes between the first and the last top row, the
+    entries of the nodes off the walls form a (rows, nodes, 2, 10) view of
+    ``data``, which ``_fill_folded`` writes slot by slot.  The first and
+    last top rows, the two wall columns and the centre row go through
+    ``_write_folded_masked``.
+    """
+    grid = phases.grid
+    n = grid.n
+    m, centre = divmod(n, 2)
+    i0, i1, j0, j1 = rows.start, min(rows.stop, m), cols.start, cols.stop
+    _check_mirror(phases, (slice(max(i0 - 1, 0), min(rows.stop, m)), cols),
+                  (slice(i0, min(rows.stop, m + centre)),
+                   slice(max(j0 - 1, 0), min(j1, n - 1))))
+    inner_rows, inner_cols = slice(max(i0, 1), min(i1, m - 1)), slice(max(j0, 1), min(j1, n - 1))
+    if inner_rows.start < inner_rows.stop and inner_cols.start < inner_cols.stop:
+        span = 20 * n - 8       # the entries of one such row of nodes
+        lo, hi = (16 + 20 * (c - 1) for c in (inner_cols.start, inner_cols.stop))
+        shape = (inner_rows.stop - inner_rows.start, inner_cols.stop - inner_cols.start, 2, 10)
+        first = ptr[2 * inner_rows.start * n]
+
+        def inner(out):
+            rows_of = out[first:first + shape[0] * span].reshape(shape[0], span)
+            return np.reshape(rows_of[:, lo:hi], shape, copy=False)
+
+        _fill_folded(inner(data), phases, inner_rows, inner_cols, harmonic)
+        if indices is not None:
+            i, j = np.ogrid[inner_rows, inner_cols]
+            inner(indices)[...] = (2 * (i * n + j))[..., None, None] + np.array(
+                [-2 * n, 1 - 2 * n, -2, -1, 0, 1, 2, 3, 2 * n, 2 * n + 1])
+    edge_rows = [slice(i0, min(i1, 1)), slice(max(i0, m - 1), i1)]
+    edge_cols = [slice(j0, min(j1, 1)), slice(max(j0, n - 1), j1)]
+    for box in ([(r, cols) for r in edge_rows] + [(inner_rows, c) for c in edge_cols]):
+        if all(s.start < s.stop for s in box):
+            _write_folded_masked(data, ptr, phases, *box, harmonic, indices)
+    if centre and rows.start <= m < rows.stop:
+        _write_folded_masked(data, ptr, phases, slice(m, m + 1), cols, harmonic, indices)
+
+
+def _fill_folded(out, phases, rows, cols, harmonic):
+    """Fill ``out[r, c, 0 or 1, slot]`` with the entries of row a_p or b_p of
+    the top node p = (rows.start + r, cols.start + c): slots 0-9 the pairs of
+    p - n, p - 1, p, p + 1 and p + n, and on the last top row of an odd grid
+    slot 10 the centre column.  A slot of a missing neighbour gets the
+    values of a zero phase, for the caller to drop.  The pairs (x, -y) and
+    (y, x) of z = L[p, q] = x + i y are written as the complex numbers
+    conj(z) and i conj(z)."""
+    grid = phases.grid
+    n = grid.n
+    m, centre = divmod(n, 2)
+    i = np.arange(rows.start, rows.stop)[:, None]
+    # the hops L[k, k + n] on the qh rows above and below the nodes and
+    # L[k, k + 1] on the qv columns left and right of them
+    zh = _padded_hops(phases.qh.T, cols, rows.start - 1, rows.stop, grid.h).T
+    zv = _padded_hops(phases.qv, rows, cols.start - 1, cols.stop, grid.h)
+    d = np.broadcast_to(_node_diagonal(grid, i, np.arange(cols.start, cols.stop), harmonic),
+                        out.shape[:2])
+    pairs = out[..., :10].view(np.complex128)
+    a, b = pairs[:, :, 0], pairs[:, :, 1]
+    # L[p, p - n] and L[p, p - 1] are the conjugates of their edges' hops
+    for slot, z in ((0, zh[:-1]), (1, zv[:, :-1]), (3, np.conjugate(zv[:, 1:])),
+                    (4, np.conjugate(zh[1:]))):
+        a[..., slot] = z
+        np.multiply(z, 1j, out=b[..., slot])
+    a[..., 2], b[..., 2] = d, d * 1j
+    if rows.stop == m:          # the mirror-line edges of the last top row
+        x, y = zh[-1].real, zh[-1].imag
+        if centre:
+            out[-1, :, 0, 10], out[-1, :, 1, 10] = math.sqrt(2.0) * x, math.sqrt(2.0) * y
+        else:
+            a[-1, :, 2], b[-1, :, 2] = (d[-1] + x) + 1j * y, y + 1j * (d[-1] - x)
+
+
+def _write_folded_masked(data, ptr, phases, rows, cols, harmonic, indices=None):
+    """``_write_folded_rows`` for a box of top rows, or of the centre row,
+    where neighbours may be missing: the entries are filled into a dense
+    block of slots per node and the missing ones masked out."""
+    grid = phases.grid
+    n = grid.n
+    m, centre = divmod(n, 2)
+    j = np.arange(cols.start, cols.stop)
+    if rows.start == m:
+        # the centre row: a_q, b_q of the node q above, then the centre nodes
+        # j - 1, j, j + 1; each hop to a centre node keeps its real part
+        z = _hops(phases.qh[m - 1, cols], grid.h)
+        xv = _padded_hops(phases.qv, rows, cols.start - 1, cols.stop, grid.h).real
+        block = np.stack([math.sqrt(2.0) * z.real, math.sqrt(2.0) * z.imag, xv[0, :-1],
+                          np.broadcast_to(_node_diagonal(grid, m, j, harmonic), j.shape),
+                          xv[0, 1:]], axis=1)
+        keep = np.ones(block.shape, dtype=bool)
+        keep[:, 2], keep[:, 4] = j > 0, j < n - 1
+        c, q = 2 * m * n + j, (m - 1) * n + j
+        at = slice(ptr[c[0]], ptr[c[-1] + 1])
+        col = np.stack([2 * q, 2 * q + 1, c - 1, c, c + 1], axis=1)
+    else:
+        i = np.arange(rows.start, rows.stop)[:, None]
+        block = np.empty((i.size, j.size, 2, _FOLDED_SLOTS))
+        _fill_folded(block, phases, rows, cols, harmonic)
+        keep = np.zeros((i.size, j.size, _FOLDED_SLOTS), dtype=bool)
+        keep[..., 0:2] = (i > 0)[..., None]
+        keep[..., 2:4] = (j > 0)[:, None]
+        keep[..., 4:6] = True
+        keep[..., 6:8] = (j < n - 1)[:, None]
+        keep[..., 8:10] = (i < m - 1)[..., None]
+        keep[..., 10] = bool(centre) & (i == m - 1)
+        keep = np.broadcast_to(keep[:, :, None], block.shape)
+        at = _row_spans(ptr, 2 * (i[:, 0] * n + cols.start), 2 * (i[:, 0] * n + cols.stop))
+        p = (i * n + j)[..., None]
+        col = np.empty(keep.shape[:2] + keep.shape[3:], dtype=np.int64)
+        col[..., :10] = 2 * (p + np.repeat([-n, -1, 0, 1, n], 2)) + np.tile([0, 1], 5)
+        col[..., 10] = 2 * m * n + j
+        col = np.broadcast_to(col[:, :, None], block.shape)
+    data[at] = block[keep]
+    if indices is not None:
+        indices[at] = col[keep]
+
+
+def _row_spans(ptr, starts, stops):
+    """The positions ``ptr[starts[r]]`` up to ``ptr[stops[r]]`` of every r in
+    turn: a slice when they join up."""
+    lo, hi = ptr[starts], ptr[stops]
+    if np.array_equal(lo[1:], hi[:-1]):
+        return slice(lo[0], hi[-1])
+    lengths = hi - lo
+    return np.repeat(lo - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
 
 
 def rewrite_hops(matrix, phases, field, s_prev):
-    """Bring ``matrix``, a complex ``assemble_magnetic`` build on
-    ``phases.grid``, up to date with ``phases``, carried from ``s_prev`` by
-    ``peierls_phases(previous=...)``: the hop entries of the edges in the box
-    it recomputed are rewritten in place by the hop writer of the full build,
-    at positions found from ``indptr`` for the box only; the pattern and
-    every other entry are kept, and the values are ``assemble_magnetic``'s,
-    bit for bit.
+    """Bring ``matrix``, the confined generator of ``field`` on ``phases.grid``
+    as ``assemble_magnetic(harmonic=True)`` builds it, up to date with
+    ``phases``, carried from ``s_prev`` by ``peierls_phases(previous=...)``:
+    the hop entries of the edges in the box it recomputed are rewritten in
+    place by the writer of the full build, at positions found from
+    ``indptr`` for the box only; the pattern and every other entry are
+    kept, and the values are ``assemble_magnetic``'s, bit for bit.  A real
+    ``matrix`` is a folded build (a zero gauge's real one never changes),
+    whose rows of the box's nodes are written again: every edge of the box
+    joins two of its nodes.
     """
     nodes, edges = _carried_box(phases.grid, field, phases.s, s_prev)
-    _write_hops(matrix.data, matrix.indptr, phases, (edges, nodes), (nodes, edges))
+    if np.iscomplexobj(matrix.data):
+        _write_hops(matrix.data, matrix.indptr, phases, (edges, nodes), (nodes, edges))
+    else:
+        _write_folded_rows(matrix.data, matrix.indptr, phases, nodes, nodes, harmonic=True)
 
 
 # ---------------------------------------------------------------------------

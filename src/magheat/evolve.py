@@ -4,11 +4,12 @@ Both frames use Crank-Nicolson, unconditionally stable and norm
 non-increasing for positive semidefinite generators.  The self-similar
 frame evolves the non-autonomous confined equation; its generator, shared
 with ``lambda_curve``, is assembled once and updated in place at the
-midpoint of every step.  ``evolve_selfsimilar`` steps it in one loop of CG
-solves, I + dt/2 L applied matrix-free from the generator L, preconditioned
-by the zero-field Crank-Nicolson operator.  That operator is inverted by one fast
+midpoint of every step, as the real W L W^H for a mirror-symmetric field.
+``evolve_selfsimilar`` steps it in one loop of CG solves, I + dt/2 L
+applied matrix-free from the generator L, preconditioned by the zero-field
+Crank-Nicolson operator.  That operator is inverted by one fast
 diagonalization: dense eigenvectors of the confined axis operator on one
-axis, folded by parity into two half-size bases, and one factored
+axis, split by parity into two half-size bases, and one factored
 tridiagonal solve along the other.  The physical frame's generator is fixed,
 so its k-th Crank-Nicolson state is r(dt L)^k u_0, r(z) = (1 - z/2)/(1 + z/2):
 every recorded norm and boundary mass comes from one Lanczos run on L, by
@@ -54,12 +55,7 @@ class StateVector:
 
     def boundary_mass(self):
         """Fraction of the squared norm within ``BOUNDARY_RINGS`` cells of the wall."""
-        v2 = np.abs(self.values.ravel()) ** 2
-        total = float(v2.sum())
-        if total == 0.0:
-            return 0.0
-        # the ring itself, not total minus the inside, which could round below zero
-        return float(v2[_ring_nodes(self.grid)].sum()) / total
+        return _ring_share(self.values, _ring_nodes(self.grid))
 
 
 @dataclass(frozen=True)
@@ -136,9 +132,11 @@ def step_count(span, step):
     return round(ratio)
 
 
-def _fast_diagonalization(grid, dt):
+def _fast_diagonalization(grid, dt, folded=False):
     """P^{-1} for P = I + dt/2 (T (x) I + I (x) T), the zero-field
-    Crank-Nicolson operator of the confined generator on ``grid``.
+    Crank-Nicolson operator of the confined generator on ``grid``, on node
+    vectors, or with ``folded`` on vectors in the coordinates of
+    ``discretize.assemble_magnetic(folded=True)``.
 
     T = tridiag(-1/h^2, 2/h^2 + x^2/16, -1/h^2) is the axis operator
     (``harmonic_axis_tridiagonal``) and T = V diag(w) V^T.  Applying V^T to
@@ -149,20 +147,25 @@ def _fast_diagonalization(grid, dt):
     factored once as L D L^T (LAPACK ?pttrf), so P^{-1} r is V (pttrs(V^T R)).
     T commutes with the flip of the axis, so V is never formed: its even and
     odd columns come from two half-size eigenbases
-    (``harmonic_axis_parity_eigh``), and V^T R is those bases applied to the
-    sum and the difference of R's top rows and its flipped bottom rows (the
-    centre row of an odd axis joins the even sum), the even modes stacked first.
-    V x unfolds the same way: four half-size dense products and one
-    tridiagonal solve per apply.  The bases are real, so complex data go
-    through them as their interleaved real view, of shape (n, 2n): one real
+    (``harmonic_axis_parity_eigh``), whose coordinates are those of the
+    folded basis, a_p and the centre row for the even modes, b_p for the odd
+    ones (P is real, so the 1/i of b_p passes through).  One core applies
+    the two bases, the even modes stacked first, solves and applies them
+    back.  A folded vector feeds it its a, centre and b rows as they are; a
+    node vector the sum and the difference of R's top rows and its flipped
+    bottom rows, the (a, b) coordinates times sqrt(2), taken out by scaling
+    the top rows of the bases (the centre row of an odd axis joins the even
+    sum as it is), and is unfolded the same way.  The bases are real, so
+    complex data go through them as their interleaved real view: one real
     product per half and side, without copying the parts apart.
     """
     n, half = grid.n, dt / 2.0
-    (w_even, U_even), (w_odd, U_odd) = harmonic_axis_parity_eigh(grid)
+    (w_even, E), (w_odd, O) = harmonic_axis_parity_eigh(grid)
     m, ne = n // 2, w_even.size
-    # the 1/sqrt(2) of every folded row, so that fold and unfold are sums
-    E, O = U_even.copy(), U_odd * math.sqrt(0.5)
-    E[:m] *= math.sqrt(0.5)
+    if not folded:
+        # the 1/sqrt(2) of every node-basis fold row, so that fold and unfold are sums
+        E[:m] *= math.sqrt(0.5)
+        O *= math.sqrt(0.5)
     w = np.concatenate([w_even, w_odd])
     axis_diag, _ = harmonic_axis_tridiagonal(grid)
     off = np.full(n * n - 1, -half / grid.h**2)
@@ -172,40 +175,99 @@ def _fast_diagonalization(grid, dt):
     if info != 0:
         raise SolverConvergenceError(f"preconditioner factor failed (pttrf info={info})")
     e_complex = e.astype(complex)     # zpttrs takes a Hermitian, complex off-diagonal
-    work = np.empty(2 * n * n)        # the folded rows, reused by every apply
+    work = np.empty(2 * n * n)        # the even and odd rows, reused by every apply
 
-    def apply(r):
-        R = r.view(np.float64).reshape(n, -1)
-        folded = work[:R.size].reshape(R.shape)
-        top, bottom = R[:m], R[::-1][:m]
-        np.add(top, bottom, out=folded[:m])
-        folded[m:ne] = R[m:ne]          # the centre row of an odd axis
-        np.subtract(top, bottom, out=folded[ne:])
-        modes = np.empty_like(R)
-        np.matmul(E.T, folded[:ne], out=modes[:ne])
-        np.matmul(O.T, folded[ne:], out=modes[ne:])
-        if np.iscomplexobj(r):
+    def solve(parts):
+        """The core: ``parts``, the even rows over the odd ones, each n or 2n
+        (a complex view) wide, overwritten by their image under P^{-1}; the
+        solve's own array, free again, is returned."""
+        modes = np.empty_like(parts)
+        np.matmul(E.T, parts[:ne], out=modes[:ne])
+        np.matmul(O.T, parts[ne:], out=modes[ne:])
+        if modes.shape[1] == 2 * n:
             x, _ = zpttrs(d, e_complex, modes.view(complex).reshape(-1, 1), overwrite_b=1)
         else:
             x, _ = dpttrs(d, e, modes.reshape(-1, 1), overwrite_b=1)
-        x = x.view(np.float64).reshape(n, -1)
-        np.matmul(E, x[:ne], out=folded[:ne])
-        np.matmul(O, x[ne:], out=folded[ne:])
+        x = x.view(np.float64).reshape(parts.shape)
+        np.matmul(E, x[:ne], out=parts[:ne])
+        np.matmul(O, x[ne:], out=parts[ne:])
+        return x
+
+    def apply_nodes(r):
+        R = r.view(np.float64).reshape(n, -1)
+        parts = work[:R.size].reshape(R.shape)
+        top, bottom = R[:m], R[::-1][:m]
+        np.add(top, bottom, out=parts[:m])
+        parts[m:ne] = R[m:ne]           # the centre row of an odd axis
+        np.subtract(top, bottom, out=parts[ne:])
+        x = solve(parts)
         # unfold into the solve's own array, which the apply returns
-        np.add(folded[:m], folded[ne:], out=x[:m])
-        x[m:ne] = folded[m:ne]
-        np.subtract(folded[:m], folded[ne:], out=x[::-1][:m])
+        np.add(parts[:m], parts[ne:], out=x[:m])
+        x[m:ne] = parts[m:ne]
+        np.subtract(parts[:m], parts[ne:], out=x[::-1][:m])
         return x.view(r.dtype).ravel()
 
-    return LinearOperator((grid.size, grid.size), dtype=np.float64, matvec=apply)
+    def apply_folded(r):
+        flat = r.view(np.float64)
+        k = flat.size // (n * n)        # 1, or 2 for complex data
+        top = 2 * m * n * k             # the interleaved a_p, b_p; the centre row follows
+        pairs = flat[:top].reshape(m, n, 2, k)
+        parts = work[:flat.size].reshape(n, n * k)
+        parts[:m].reshape(m, n, k)[...] = pairs[:, :, 0]
+        parts[m:ne] = flat[top:].reshape(-1, n * k)
+        parts[ne:].reshape(m, n, k)[...] = pairs[:, :, 1]
+        out = solve(parts).reshape(-1)
+        out_pairs = out[:top].reshape(pairs.shape)
+        out_pairs[:, :, 0] = parts[:m].reshape(m, n, k)
+        out_pairs[:, :, 1] = parts[ne:].reshape(m, n, k)
+        out[top:] = parts[m:ne].ravel()
+        return out.view(r.dtype)
+
+    return LinearOperator((grid.size, grid.size), dtype=np.float64,
+                          matvec=apply_folded if folded else apply_nodes)
 
 
 def _working_values(matrix, values):
     """``values`` in the generator's arithmetic: real data under a real
     generator stay real."""
-    if not np.iscomplexobj(matrix) and not np.any(np.imag(values)):
+    if np.iscomplexobj(values) and not np.iscomplexobj(matrix) and not np.any(values.imag):
         return np.ascontiguousarray(values.real)
     return values
+
+
+def _fold_values(grid, values):
+    """W u, ``values`` in the coordinates of ``assemble_magnetic(folded=True)``:
+    (u_p + u_Rp)/sqrt(2) and (u_p - u_Rp)/(i sqrt(2)) interleaved for each
+    top-half node p and its mirror Rp, then the centre row of an odd grid as
+    it is.  A mirror-symmetric real u folds to a real vector, exactly."""
+    n = grid.n
+    m = n // 2
+    u = values.reshape(n, n)
+    top, bottom = u[:m], u[::-1][:m]
+    out = np.empty(grid.size, dtype=complex)
+    pairs = out[:2 * m * n].reshape(m, n, 2)
+    pairs[..., 0] = (top + bottom) * math.sqrt(0.5)
+    pairs[..., 1] = (top - bottom) * (-1j * math.sqrt(0.5))
+    out[2 * m * n:] = u[m:n - m].ravel()
+    return out
+
+
+def _folded_nodes(grid):
+    """The node of each folded coordinate: p for a_p and b_p, then the
+    centre row."""
+    n = grid.n
+    m = n // 2
+    return np.concatenate([np.repeat(np.arange(m * n), 2), np.arange(m * n, (n - m) * n)])
+
+
+def _ring_share(values, ring):
+    """Fraction of the squared norm of ``values`` at the indices ``ring``."""
+    v2 = np.abs(values.ravel()) ** 2
+    total = float(v2.sum())
+    if total == 0.0:
+        return 0.0
+    # the ring itself, not total minus the inside, which could round below zero
+    return float(v2[ring].sum()) / total
 
 
 def _ring_nodes(grid):
@@ -333,19 +395,28 @@ def evolve_physical(field, u0, t_final, dt):
     return NormTrajectory(frame="physical", points=points)
 
 
+def _carries_folded(field):
+    """True when ``carried_generator`` carries W L W^H for ``field``."""
+    return field.mirror_symmetric and not field.is_zero
+
+
 def carried_generator(grid, field):
     """``generator_at(s)``: the confined generator L(s) of ``field`` on ``grid``, one
     matrix object for any s in any order.  The first call assembles it (a zero
     field's does not depend on s); each later one recomputes in place the edge
     phases near the rescaled support (``peierls_phases`` with ``previous``) and
-    has ``rewrite_hops`` write their hops into the CSR data."""
+    has ``rewrite_hops`` write their hops into the CSR data.  A nonzero
+    mirror-symmetric field (``field.mirror_symmetric``) is carried as the real
+    W L(s) W^H of ``assemble_magnetic(folded=True)``, never as a complex
+    matrix; every other field as L(s) itself."""
     phases = generator = None
 
     def generator_at(s):
         nonlocal phases, generator
         if generator is None:
             phases = peierls_phases(grid, field, s=s)
-            generator = assemble_magnetic(phases, harmonic=True).matrix
+            generator = assemble_magnetic(phases, harmonic=True,
+                                          folded=_carries_folded(field)).matrix
         elif not field.is_zero:
             phases, s_prev = peierls_phases(grid, field, s=s, previous=phases), phases.s
             rewrite_hops(generator, phases, field, s_prev)
@@ -367,6 +438,12 @@ def evolve_selfsimilar(field, v0, s_final, ds):
     zero-field Crank-Nicolson operator, inverted by fast diagonalization:
     exact without a field, and close while the rescaled field shrinks
     towards a flux line.
+    A nonzero mirror-symmetric field's generator is carried as W L W^H, so
+    the run folds its datum by the same W (``_fold_values``) and steps in
+    those coordinates, preconditioned in them too; a datum that folds to a
+    real vector (a real one even in x) steps in float64.  The records need
+    no unfolding: W is unitary, and the Gaussian weight and the wall ring
+    are even in x, so each folds to a weight per coordinate.
     The recorded weighted norm is the plain norm of the evolved
     representative, which coincides with the weighted norm of the solution in
     the original representation; the companion plain norm divides the weight
@@ -380,19 +457,26 @@ def evolve_selfsimilar(field, v0, s_final, ds):
         raise ValueError("s_final must exceed the initial time")
     grid = v0.grid
     check_s_cap(grid, field, [s_final])
+    folded = _carries_folded(field)
+    # the node of each working coordinate
+    nodes = _folded_nodes(grid) if folded else slice(None)
     X, Y = grid.mesh()
-    inv_weight = np.exp(-(X**2 + Y**2).ravel() / 8.0)
+    inv_weight = np.exp(-(X**2 + Y**2).ravel() / 8.0)[nodes]
+    in_ring = np.zeros(grid.size, dtype=bool)
+    in_ring[_ring_nodes(grid)] = True
+    ring = np.flatnonzero(in_ring[nodes])
 
     def record(values, s):
-        state = StateVector(grid=grid, values=values, time=s, frame="self-similar")
         plain = float(np.linalg.norm(values * inv_weight)) * grid.h
-        return TrajectoryPoint(time=s, l2_norm=plain, k_norm=state.norm(),
-                               boundary_mass=state.boundary_mass())
+        return TrajectoryPoint(time=s, l2_norm=plain,
+                               k_norm=float(np.linalg.norm(values)) * grid.h,
+                               boundary_mass=_ring_share(values, ring))
 
-    precondition = _fast_diagonalization(grid, ds)
+    precondition = _fast_diagonalization(grid, ds, folded)
     generator_at = carried_generator(grid, field)
     half = ds / 2.0
-    values, s = v0.values, v0.time
+    values = _fold_values(grid, v0.values) if folded else v0.values
+    s = v0.time
     points = [record(values, s)]
     for _ in range(step_count(s_final - s, ds)):
         matrix = generator_at(s + half)

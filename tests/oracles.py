@@ -15,6 +15,9 @@ the far-field ``alpha_infinity``.
 ``assemble_by_diagonals`` builds the five-point Peierls stencil as five
 diagonals through ``scipy.sparse.diags``, the reference for the CSR arrays
 that ``assemble_magnetic`` writes in place.
+``mirror_unitary`` writes the unitary W of the folded build entry by entry,
+so ``W L W^H`` and ``W u`` check the folded generator and the folded
+self-similar states.
 """
 
 import math
@@ -62,6 +65,27 @@ def assemble_by_diagonals(phases, harmonic):
     return sp.diags([diag, -hop_h, -hop_h.conj(), -hop_v, -hop_v.conj()],
                     [0, n, -n, 1, -1], format="csr",
                     dtype=np.float64 if real else np.complex128)
+
+
+def mirror_unitary(n):
+    """The folded build's W on an n x n grid, entry by entry: rows a_p, b_p of
+    each top-half node p = (i, j), i < n // 2, interleaved in node order,
+    a_p = (u_p + u_Rp)/sqrt(2) and b_p = (u_p - u_Rp)/(i sqrt(2)) with
+    Rp = (n-1-i, j), then the centre row of an odd grid as it is."""
+    m, centre = divmod(n, 2)
+    r = 1.0 / math.sqrt(2.0)
+    rows, cols, vals = [], [], []
+    for i in range(m):
+        for j in range(n):
+            p, mirror = i * n + j, (n - 1 - i) * n + j
+            rows += [2 * p, 2 * p, 2 * p + 1, 2 * p + 1]
+            cols += [p, mirror, p, mirror]
+            vals += [r, r, r / 1j, -r / 1j]
+    for j in range(n * centre):
+        rows.append(2 * m * n + j)
+        cols.append(m * n + j)
+        vals.append(1.0)
+    return sp.csr_matrix((np.array(vals, dtype=complex), (rows, cols)), shape=(n * n, n * n))
 
 
 def alpha_infinity(field, theta):

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import magheat as mh
+from oracles import mirror_unitary
 
 
 def test_build_grid_spacing():
@@ -218,9 +220,10 @@ def test_assembly_matches_the_diagonal_build_byte_for_byte(request, field_name, 
 def test_blocked_builds_match_one_row_blocks(monkeypatch, request, field_name):
     # blocks of one row each (the budget below a row) against the default
     # blocks, which hold the whole n = 48 grid: the full build, a carried box
-    # and the assembly.  Centred fields match bit for bit.  Off-centre ones
-    # match to a few ulp: alpha_batch's moment product is one BLAS GEMM per
-    # ray block, whose last bit depends on where a ray sits in the block.
+    # and the assembly, folded too for a mirror-symmetric field.  Centred
+    # fields match bit for bit.  Off-centre ones match to a few ulp:
+    # alpha_batch's moment product is one BLAS GEMM per ray block, whose last
+    # bit depends on where a ray sits in the block.
     from magheat import discretize
 
     field = request.getfixturevalue(field_name)
@@ -230,17 +233,19 @@ def test_blocked_builds_match_one_row_blocks(monkeypatch, request, field_name):
         fresh = mh.peierls_phases(grid, field, 0.4)
         carried = mh.peierls_phases(grid, field, 0.4,
                                     previous=mh.peierls_phases(grid, field, 1.5))
-        return fresh, carried, mh.assemble_magnetic(fresh, harmonic=True).matrix
+        return fresh, carried, *(mh.assemble_magnetic(fresh, harmonic=True, folded=folded).matrix
+                                 for folded in {False, field.mirror_symmetric})
 
     assert 2 * grid.n**2 <= discretize._BLOCK_POINTS
     wide = builds()
     monkeypatch.setattr(discretize, "_BLOCK_POINTS", grid.n // 3)
     narrow = builds()
-    assert wide[2].indices.tobytes() == narrow[2].indices.tobytes()
-    assert wide[2].indptr.tobytes() == narrow[2].indptr.tobytes()
     pairs = [(a.qh, b.qh) for a, b in zip(wide[:2], narrow[:2])]
     pairs += [(a.qv, b.qv) for a, b in zip(wide[:2], narrow[:2])]
-    pairs += [(wide[2].data.view(np.float64), narrow[2].data.view(np.float64))]
+    for a, b in zip(wide[2:], narrow[2:]):
+        assert a.indices.tobytes() == b.indices.tobytes()
+        assert a.indptr.tobytes() == b.indptr.tobytes()
+        pairs.append((a.data.view(np.float64), b.data.view(np.float64)))
     for a, b in pairs:
         if all(comp.center == (0.0, 0.0) for comp in field.components):
             assert a.tobytes() == b.tobytes()
@@ -257,16 +262,18 @@ def test_generator_build_peaks_near_its_output(request, field_name):
 
     field = request.getfixturevalue(field_name)
     grid = mh.build_grid(6.0, 256)
-    tracemalloc.start()
-    try:
-        phases = mh.peierls_phases(grid, field, 1.0)
-        matrix = mh.assemble_magnetic(phases, harmonic=True).matrix
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    kept = sum(a.nbytes for a in (phases.qh, phases.qv, matrix.data, matrix.indices,
-                                  matrix.indptr))
-    assert peak < 1.5 * kept
+    # a mirror-symmetric field's folded build too
+    for folded in {False, field.mirror_symmetric and not field.is_zero}:
+        tracemalloc.start()
+        try:
+            phases = mh.peierls_phases(grid, field, 1.0)
+            matrix = mh.assemble_magnetic(phases, harmonic=True, folded=folded).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in (phases.qh, phases.qv, matrix.data, matrix.indices,
+                                      matrix.indptr))
+        assert peak < 1.5 * kept, folded
 
 
 def test_free_stencil_symbol(zero_field):
@@ -347,21 +354,6 @@ def test_discrete_gauge_invariance(step_half, rng):
     assert np.max(np.abs(vals - vals2)) < 1e-10
 
 
-def _dense_mirror_unitary(n):
-    """The fold's W, entry by entry: rows a_p, b_p of each top-half node p =
-    (i, j), i < n // 2, interleaved in node order, then the centre row."""
-    m, centre = divmod(n, 2)
-    w = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(m):
-        for j in range(n):
-            p, mirror = i * n + j, (n - 1 - i) * n + j
-            w[2 * p, [p, mirror]] = 1.0 / math.sqrt(2.0)
-            w[2 * p + 1, [p, mirror]] = np.array([1.0, -1.0]) / (1j * math.sqrt(2.0))
-    for j in range(n * centre):
-        w[2 * m * n + j, m * n + j] = 1.0
-    return w
-
-
 @pytest.mark.parametrize("s", [None, 1.3])
 @pytest.mark.parametrize("n", [16, 17])
 @pytest.mark.parametrize("kind, params", [
@@ -369,20 +361,20 @@ def _dense_mirror_unitary(n):
     ("radial-bump", {"b0": 1.0, "r": 1.0}),
     ("dipole-pair", {"b0": 1.0, "r": 0.5, "center": [0.0, 1.5]})])
 def test_mirror_fold_matches_the_dense_unitary(kind, params, n, s):
-    # oracle: W L W^H formed densely; it must be real to rounding, the fold
-    # its real part, and the spectrum that of L
+    # oracle: W L W^H formed densely; it must be real to rounding, the
+    # folded build its real part, and the spectrum that of L
     from scipy.linalg import eigvalsh
-
-    from magheat.discretize import mirror_fold
 
     field = mh.make_field(kind, params)
     assert field.mirror_symmetric
     grid = mh.build_grid(4.0, n)
-    L = mh.assemble_magnetic(mh.peierls_phases(grid, field, s=s), harmonic=True).matrix
-    folded = mirror_fold(grid)(L)
+    phases = mh.peierls_phases(grid, field, s=s)
+    L = mh.assemble_magnetic(phases, harmonic=True).matrix
+    folded = mh.assemble_magnetic(phases, harmonic=True, folded=True).matrix
     assert folded.dtype == np.float64 and folded.shape == L.shape
+    assert folded.has_sorted_indices
     assert abs(folded - folded.T).max() == 0.0
-    w = _dense_mirror_unitary(n)
+    w = mirror_unitary(n).toarray()
     dense = w @ L.toarray() @ w.conj().T
     scale = abs(L).max()
     assert np.abs(dense.imag).max() <= 1e-15 * scale
@@ -393,19 +385,21 @@ def test_mirror_fold_matches_the_dense_unitary(kind, params, n, s):
 @pytest.mark.parametrize("n", [16, 17])
 def test_mirror_fold_rejects_an_asymmetric_operator(step_half, offset_bump, rng, n):
     # a gauge transform keeps the spectrum but breaks the mirror relation of
-    # the phases; an off-centre field breaks it in the field itself
-    from magheat.discretize import mirror_fold
+    # the phases; an off-centre field breaks it in the field itself; the
+    # folded build and its in-place rewrite both check every edge they write
+    from magheat.discretize import rewrite_hops
     from magheat.errors import SymmetryError
 
     grid = mh.build_grid(4.0, n)
     phases = mh.peierls_phases(grid, step_half, s=1.3)
-    fold = mirror_fold(grid)
-    fold(mh.assemble_magnetic(phases, harmonic=True).matrix)
+    folded = mh.assemble_magnetic(phases, harmonic=True, folded=True).matrix
     chi = rng.standard_normal((n, n))
     for asymmetric in (phases.gauge_transformed(chi), phases.gauge_transformed(1e-9 * chi),
                        mh.peierls_phases(grid, offset_bump, s=1.3)):
         with pytest.raises(SymmetryError, match="mirror image"):
-            fold(mh.assemble_magnetic(asymmetric, harmonic=True).matrix)
+            mh.assemble_magnetic(asymmetric, harmonic=True, folded=True)
+        with pytest.raises(SymmetryError, match="mirror image"):
+            rewrite_hops(folded, replace(asymmetric, s=1.3), step_half, 1.3)
 
 
 # ---------------------------------------------------------------------------

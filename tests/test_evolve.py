@@ -9,7 +9,7 @@ from magheat.discretize import DiscreteOperator
 from magheat.errors import (BoundaryContaminationError, ResolutionCapError,
                             SolverConvergenceError)
 from magheat.evolve import BOUNDARY_RINGS, MAX_DS, energy_bound_check
-from oracles import cn_step
+from oracles import cn_step, mirror_unitary
 
 
 def _scalar_operator(grid, sigma):
@@ -108,14 +108,21 @@ def _record_lanczos(monkeypatch, seen):
 
 
 @pytest.mark.parametrize("frame", ["physical", "self-similar"])
-def test_cg_dtype_follows_the_generator(monkeypatch, zero_field, step_half, frame):
-    # zero-field runs work in real arithmetic, fielded runs in complex: every
-    # CG right-hand side in the self-similar frame; the physical frame makes
-    # no CG solve, and every vector its Lanczos run applies L to has the dtype
+def test_cg_dtype_follows_the_generator(monkeypatch, zero_field, step_half, offset_bump,
+                                        frame):
+    # zero-field runs work in real arithmetic, fielded physical runs in
+    # complex; a self-similar run carries a mirror-symmetric field's generator
+    # as the real W L W^H, so a centred datum steps in real arithmetic there
+    # too, and only the off-centre bump in complex: every CG right-hand side
+    # in the self-similar frame; the physical frame makes no CG solve, and
+    # every vector its Lanczos run applies L to has the dtype
     solved, applied = [], []
     _spy(monkeypatch, "cg", solved, lambda matrix, rhs: rhs.dtype)
     _record_lanczos(monkeypatch, applied)
-    for field, dtype in ((zero_field, np.float64), (step_half, np.complex128)):
+    cases = {"physical": ((zero_field, np.float64), (step_half, np.complex128)),
+             "self-similar": ((zero_field, np.float64), (step_half, np.float64),
+                              (offset_bump, np.complex128))}
+    for field, dtype in cases[frame]:
         solved.clear()
         applied.clear()
         _run(frame, field, 3)
@@ -125,6 +132,33 @@ def test_cg_dtype_follows_the_generator(monkeypatch, zero_field, step_half, fram
         else:
             assert solved == [np.dtype(dtype)] * 3
             assert applied == []
+
+
+def test_selfsimilar_cg_operands_are_real_for_mirror_symmetric_data(monkeypatch, step_half,
+                                                                   offset_bump):
+    # the operator, the right-hand side and the preconditioner's output of
+    # every CG solve: float64 for the half-flux step and the centred datum,
+    # which fold to a real generator and a real vector; complex for the
+    # offset bump, whose generator stays complex, and the data of the x-odd
+    # datum, which folds to an imaginary vector under the real generator
+    import magheat.evolve as ev
+
+    inner, seen = ev.cg, []
+
+    def spy(A, b, **kwargs):
+        seen.append((A.dtype, b.dtype, kwargs["M"].matvec(b).dtype))
+        return inner(A, b, **kwargs)
+
+    monkeypatch.setattr(ev, "cg", spy)
+    grid = mh.build_grid(6.0, 64)
+    real, cplx = np.dtype(np.float64), np.dtype(complex)
+    for field, odd, dtypes in ((step_half, False, (real, real, real)),
+                               (offset_bump, False, (cplx, cplx, cplx)),
+                               (step_half, True, (real, cplx, cplx))):
+        seen.clear()
+        v0 = mh.gaussian_state(grid, 1.0, frame="self-similar", odd=odd)
+        mh.evolve_selfsimilar(field, v0, 0.1, 0.05)
+        assert seen == [dtypes] * 2, (field.kind, odd)
 
 
 def _cg_calls(monkeypatch):
@@ -172,8 +206,11 @@ def test_selfsimilar_preconditioned_step_matches_direct_solve(monkeypatch, step_
     L = mh.assemble_magnetic(phases, harmonic=True).matrix
     eye = sp.identity(grid.size, format="csc")
     direct = spsolve((eye + 0.025 * L).tocsc(), (eye - 0.025 * L) @ v0.values)
-    # CG solves for the increment from the state before the step
-    assert np.linalg.norm(v0.values + call["out"] - direct) <= 1e-9 * np.linalg.norm(direct)
+    # CG solves for the increment from the state before the step, in the
+    # folded coordinates W u of the mirror-symmetric field
+    w = mirror_unitary(grid.n)
+    step = w @ v0.values + call["out"]
+    assert np.linalg.norm(step - w @ direct) <= 1e-9 * np.linalg.norm(direct)
 
 
 def test_physical_preconditioned_step_matches_direct_solve(monkeypatch, step_half):
@@ -201,18 +238,22 @@ def test_physical_preconditioned_step_matches_direct_solve(monkeypatch, step_hal
 def test_fast_diagonalization_inverts_the_zero_field_operator(zero_field, rng, n, harmonic):
     # n = 16 and 18: even axes, folded into two m x m halves, with m even and
     # odd; n = 17: an odd axis, whose centre row joins the even half and
-    # where a tridiagonal block ending one node early or late would show
+    # where a tridiagonal block ending one node early or late would show;
+    # on node vectors and on the folded coordinates, against the folded
+    # zero-field build there
     from magheat.evolve import _fast_diagonalization
 
     grid, dt = mh.build_grid(4.0, n), 0.3
-    L = mh.assemble_magnetic(mh.peierls_phases(grid, zero_field), harmonic=harmonic).matrix
-    P = sp.identity(grid.size, format="csr") + (dt / 2.0) * L
-    apply = _fast_diagonalization(grid, dt).matvec
     re, im = rng.standard_normal((2, grid.size))
-    for r in (re, re + 1j * im):
-        out = apply(r)
-        assert out.dtype == r.dtype
-        assert np.linalg.norm(P @ out - r) <= 1e-12 * np.linalg.norm(r)
+    for folded in (False, True):
+        L = mh.assemble_magnetic(mh.peierls_phases(grid, zero_field), harmonic=harmonic,
+                                 folded=folded).matrix
+        P = sp.identity(grid.size, format="csr") + (dt / 2.0) * L
+        apply = _fast_diagonalization(grid, dt, folded).matvec
+        for r in (re, re + 1j * im):
+            out = apply(r)
+            assert out.dtype == r.dtype
+            assert np.linalg.norm(P @ out - r) <= 1e-12 * np.linalg.norm(r), folded
 
 
 @pytest.mark.parametrize("harmonic", [True])     # the confined generator, the only one
@@ -421,29 +462,47 @@ def test_generator_rebuilt_only_when_it_changes(monkeypatch, zero_field, step_ha
 
 
 @pytest.mark.parametrize("n", [48, 49])
-def test_selfsimilar_steps_match_direct_solves_on_fresh_generators(monkeypatch, offset_bump, n):
+def test_selfsimilar_steps_match_direct_solves_on_fresh_generators(monkeypatch, offset_bump,
+                                                                   step_half, n):
     # every self-similar step is one CG solve, and the run's norms are those
-    # of direct Crank-Nicolson solves on the generator assembled afresh at
-    # each step's midpoint (agreeing to a few 1e-14)
+    # of direct Crank-Nicolson solves on the complex generator assembled
+    # afresh at each step's midpoint (agreeing to a few 1e-14): for the
+    # offset bump in node coordinates, for the half-flux step (on a smaller
+    # domain, for its resolution cap) and a dipole pair on the y-axis in the
+    # folded ones, real for the centred datum and imaginary for the x-odd one;
+    # the odd grid has a centre row
+    dipole_y = mh.make_field("dipole-pair", {"b0": 1.0, "r": 0.5, "center": [0.0, 1.5]})
     solves = []
     _spy(monkeypatch, "cg", solves, lambda *args: None)
-    grid, ds, steps = mh.build_grid(6.0, n), 0.05, 4
-    v0 = mh.gaussian_state(grid, 1.0, frame="self-similar")
-    traj = mh.evolve_selfsimilar(offset_bump, v0, ds * steps, ds)
-    assert len(solves) == steps
-    state = v0
-    norms = [state.norm()]
-    for _ in range(steps):
-        phases = mh.peierls_phases(grid, offset_bump, s=state.time + ds / 2.0)
-        state = cn_step(mh.assemble_magnetic(phases, harmonic=True), state, ds)
-        norms.append(state.norm())
-    assert np.max(np.abs(traj.k_norms / np.array(norms) - 1.0)) <= 1e-10
+    ds, steps = 0.05, 4
+    for field, r_dom, odd in ((offset_bump, 6.0, False), (step_half, 3.0, False),
+                              (step_half, 3.0, True), (dipole_y, 6.0, False)):
+        solves.clear()
+        grid = mh.build_grid(r_dom, n)
+        v0 = mh.gaussian_state(grid, 1.0, frame="self-similar", odd=odd)
+        traj = mh.evolve_selfsimilar(field, v0, ds * steps, ds)
+        assert len(solves) == steps
+        X, Y = grid.mesh()
+        inv_weight = np.exp(-(X**2 + Y**2).ravel() / 8.0)
+        state, oracle = v0, []
+        for k in range(steps + 1):
+            if k:
+                phases = mh.peierls_phases(grid, field, s=state.time + ds / 2.0)
+                state = cn_step(mh.assemble_magnetic(phases, harmonic=True), state, ds)
+            oracle.append((state.norm(), np.linalg.norm(state.values * inv_weight) * grid.h,
+                           state.boundary_mass()))
+        k_norms, l2_norms, masses = np.array(oracle).T
+        # the records of the folded runs weigh each coordinate by its node's weight
+        assert np.max(np.abs(traj.k_norms / k_norms - 1.0)) <= 1e-10, (field.kind, odd)
+        assert np.max(np.abs(traj.l2_norms / l2_norms - 1.0)) <= 1e-10, (field.kind, odd)
+        got = np.array([p.boundary_mass for p in traj.points])
+        assert np.max(np.abs(got / masses - 1.0)) <= 1e-8, (field.kind, odd)
 
 
 def _check_carried_generator(monkeypatch, request, field_name, n, run, calls):
     # after every call but the first of the carried generator, the CSR arrays
-    # equal assemble_magnetic of the same carried phases, bit for bit, and the
-    # matrix object stays the same
+    # equal assemble_magnetic of the same carried phases, bit for bit, folded
+    # for the mirror-symmetric fields, and the matrix object stays the same
     import magheat.evolve as ev
     from magheat.discretize import _carried_box
 
@@ -459,7 +518,8 @@ def _check_carried_generator(monkeypatch, request, field_name, n, run, calls):
 
     def spy(matrix, phases, *args):
         inner(matrix, phases, *args)
-        fresh = mh.assemble_magnetic(phases, harmonic=True).matrix
+        fresh = mh.assemble_magnetic(phases, harmonic=True,
+                                     folded=field.mirror_symmetric).matrix
         rewritten.append((id(matrix), all(np.array_equal(getattr(matrix, name),
                                                          getattr(fresh, name))
                                           for name in ("data", "indices", "indptr"))))

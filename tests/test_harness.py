@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -113,6 +114,26 @@ def test_compare_ignores_eigenpair_residuals(tmp_path):
     assert compare(*summaries) == {}
 
 
+def test_compare_ignores_lu_solve_counts(tmp_path):
+    # another seed starts eigsh and LOBPCG elsewhere: the lambdas agree to
+    # rounding, but the last sample takes 21 LU solves under seed 0 and 19
+    # under seed 1; the counts stay in lambda_curve.csv, out of the summary
+    summaries, counts = [], []
+    for seed in (0, 1):
+        cfg = ExperimentConfig(kind="lambda-curve", label=f"seed{seed}",
+                               field=mh.harness._field_step(0.5, 3.0),
+                               grid={"r_dom": 7.0, "n": 64}, s_values=[0.0, 1.0, 2.0],
+                               seed=seed)
+        rec = run(cfg, out_dir=tmp_path)
+        summaries.append(load_summary(rec.outputs[0]))
+        (table,) = [p for p in rec.outputs if p.endswith("lambda_curve.csv")]
+        with open(table) as fh:
+            rows = list(csv.DictReader(fh))
+        counts.append([int(row["iterations"]) for row in rows])
+    assert counts[0] != counts[1]
+    assert compare(*summaries) == {}
+
+
 def test_gauge_transform_compare(tmp_path, rng):
     # spectra before and after a discrete gauge transformation agree to 1e-10
     grid = mh.build_grid(6.0, 40)
@@ -164,12 +185,14 @@ def test_run_decay_report_small(tmp_path):
     assert summary["flags"]["energy_bound"]
     assert summary["flags"]["global_bound"]
     assert any(p.endswith("fit_residuals.csv") for p in rec.outputs)
-    # eigenpair residuals and fit stderrs go to the tables, not to the summary
-    assert all("residual" not in smp for smp in summary["lambda_curve"])
+    # eigenpair residuals, LU solve counts and fit stderrs go to the tables,
+    # not to the summary
+    assert all("residual" not in smp and "iterations" not in smp
+               for smp in summary["lambda_curve"])
     assert all("stderr" not in fit for fit in summary["gamma_fits"].values())
     assert "stderr" not in summary["selfsimilar_slope"]
     (table,) = [p for p in rec.outputs if p.endswith("lambda_curve.csv")]
-    assert open(table).readline().strip() == "s,lambda,residual"
+    assert open(table).readline().strip() == "s,lambda,residual,iterations"
 
 
 def test_decay_report_solves_with_the_config_seed(tmp_path, monkeypatch):
