@@ -13,7 +13,9 @@ axis, split by parity into two half-size bases, and one factored
 tridiagonal solve along the other.  The physical frame's generator is fixed,
 so its k-th Crank-Nicolson state is r(dt L)^k u_0, r(z) = (1 - z/2)/(1 + z/2):
 every recorded norm and boundary mass comes from one Lanczos run on L, by
-Gauss quadrature, with no linear solve on the grid.
+Gauss quadrature, with no linear solve on the grid; for a mirror-symmetric
+field and a datum that folds to a vector real up to a factor i, that run is
+on the real W L W^H.
 """
 
 from __future__ import annotations
@@ -227,19 +229,32 @@ def _fast_diagonalization(grid, dt, folded=False):
                           matvec=apply_folded if folded else apply_nodes)
 
 
-def _working_values(matrix, values):
-    """``values`` in the generator's arithmetic: real data under a real
-    generator stay real."""
-    if np.iscomplexobj(values) and not np.iscomplexobj(matrix) and not np.any(values.imag):
+def _real_form(values):
+    """``values`` as a float64 vector when they are real up to a factor i,
+    else None.  Purely imaginary data are rotated by -i: every record, norm
+    and ring share is blind to a global phase."""
+    if not np.iscomplexobj(values):
+        return values
+    if not np.any(values.imag):
         return np.ascontiguousarray(values.real)
-    return values
+    if not np.any(values.real):
+        return np.ascontiguousarray(values.imag)
+    return None
+
+
+def _working_values(matrix, values):
+    """``values`` in the generator's arithmetic: under a real generator, data
+    real up to a factor i step as real (``_real_form``)."""
+    real = None if np.iscomplexobj(matrix) else _real_form(values)
+    return values if real is None else real
 
 
 def _fold_values(grid, values):
     """W u, ``values`` in the coordinates of ``assemble_magnetic(folded=True)``:
     (u_p + u_Rp)/sqrt(2) and (u_p - u_Rp)/(i sqrt(2)) interleaved for each
     top-half node p and its mirror Rp, then the centre row of an odd grid as
-    it is.  A mirror-symmetric real u folds to a real vector, exactly."""
+    it is.  A mirror-symmetric real u folds to a real vector, exactly, and an
+    antisymmetric one to an imaginary vector."""
     n = grid.n
     m = n // 2
     u = values.reshape(n, n)
@@ -270,12 +285,16 @@ def _ring_share(values, ring):
     return float(v2[ring].sum()) / total
 
 
-def _ring_nodes(grid):
-    """Flat indices of the nodes within ``BOUNDARY_RINGS`` cells of the wall."""
+def _ring_nodes(grid, folded=False):
+    """Flat indices of the nodes within ``BOUNDARY_RINGS`` cells of the wall,
+    or with ``folded`` of the folded coordinates at those nodes
+    (``_folded_nodes``): the ring is even in x, so it folds coordinate by
+    coordinate."""
     n, k = grid.n, BOUNDARY_RINGS
     ring = np.ones((n, n), dtype=bool)
     ring[k:n - k, k:n - k] = False
-    return np.flatnonzero(ring)
+    ring = ring.ravel()
+    return np.flatnonzero(ring[_folded_nodes(grid)] if folded else ring)
 
 
 def _tridiagonal_cn(alpha, beta, dt, n_steps):
@@ -372,6 +391,13 @@ def evolve_physical(field, u0, t_final, dt):
     not change, so the k-th state is r(dt L)^k u_0 and every norm and ring
     mass comes from one Lanczos run on L (``_lanczos_norms``), with no
     linear solve on the grid.
+    For a nonzero mirror-symmetric field (``_carries_folded``) whose datum
+    folds by W to a vector real up to a factor i (``_fold_values``,
+    ``_real_form``), as the centred and the x-odd Gaussian do, the run is on
+    the real W L W^H of ``assemble_magnetic(folded=True)``, in float64, with
+    the ring folded coordinate by coordinate; W is unitary, so every norm and
+    ring share is that of the node basis.  Any other datum keeps the complex
+    stencil: a real matrix on complex vectors is slower than it.
     """
     if u0.frame != "physical":
         raise ValueError("initial state must be in the physical frame")
@@ -379,9 +405,13 @@ def evolve_physical(field, u0, t_final, dt):
         raise ValueError("t_final and dt must be positive")
     grid = u0.grid
     n_steps = step_count(t_final - u0.time, dt)
-    matrix = assemble_magnetic(peierls_phases(grid, field), harmonic=False).matrix
-    norms, fractions = _lanczos_norms(matrix, _working_values(matrix, u0.values), dt,
-                                      n_steps, _ring_nodes(grid))
+    values = _real_form(_fold_values(grid, u0.values)) if _carries_folded(field) else None
+    folded = values is not None
+    matrix = assemble_magnetic(peierls_phases(grid, field), harmonic=False,
+                               folded=folded).matrix
+    if not folded:
+        values = _working_values(matrix, u0.values)
+    norms, fractions = _lanczos_norms(matrix, values, dt, n_steps, _ring_nodes(grid, folded))
     points, t = [], u0.time
     for norm, bm in zip(norms, fractions):
         if bm > BOUNDARY_MASS_TOL:
@@ -441,7 +471,8 @@ def evolve_selfsimilar(field, v0, s_final, ds):
     A nonzero mirror-symmetric field's generator is carried as W L W^H, so
     the run folds its datum by the same W (``_fold_values``) and steps in
     those coordinates, preconditioned in them too; a datum that folds to a
-    real vector (a real one even in x) steps in float64.  The records need
+    vector real up to a factor i (a real one even or odd in x) steps in
+    float64 (``_working_values``).  The records need
     no unfolding: W is unitary, and the Gaussian weight and the wall ring
     are even in x, so each folds to a weight per coordinate.
     The recorded weighted norm is the plain norm of the evolved
@@ -458,13 +489,11 @@ def evolve_selfsimilar(field, v0, s_final, ds):
     grid = v0.grid
     check_s_cap(grid, field, [s_final])
     folded = _carries_folded(field)
-    # the node of each working coordinate
-    nodes = _folded_nodes(grid) if folded else slice(None)
     X, Y = grid.mesh()
-    inv_weight = np.exp(-(X**2 + Y**2).ravel() / 8.0)[nodes]
-    in_ring = np.zeros(grid.size, dtype=bool)
-    in_ring[_ring_nodes(grid)] = True
-    ring = np.flatnonzero(in_ring[nodes])
+    inv_weight = np.exp(-(X**2 + Y**2).ravel() / 8.0)
+    if folded:
+        inv_weight = inv_weight[_folded_nodes(grid)]
+    ring = _ring_nodes(grid, folded)
 
     def record(values, s):
         plain = float(np.linalg.norm(values * inv_weight)) * grid.h

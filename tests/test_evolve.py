@@ -80,10 +80,13 @@ def _spy(monkeypatch, name, seen, record):
     monkeypatch.setattr(ev, name, spy)
 
 
-def _run(frame, field, steps):
+def _run(frame, field, steps, datum="gaussian"):
+    # ``datum`` names one of theorem_report's physical initial data
+    from magheat.decay import _initial_state
+
     grid = mh.build_grid(6.0, 64)
     if frame == "physical":
-        return mh.evolve_physical(field, mh.gaussian_state(grid, 1.0), 0.1 * steps, 0.1)
+        return mh.evolve_physical(field, _initial_state(datum, grid, 1.0), 0.1 * steps, 0.1)
     v0 = mh.gaussian_state(grid, 1.0, frame="self-similar")
     return mh.evolve_selfsimilar(field, v0, 0.05 * steps, 0.05)
 
@@ -110,22 +113,30 @@ def _record_lanczos(monkeypatch, seen):
 @pytest.mark.parametrize("frame", ["physical", "self-similar"])
 def test_cg_dtype_follows_the_generator(monkeypatch, zero_field, step_half, offset_bump,
                                         frame):
-    # zero-field runs work in real arithmetic, fielded physical runs in
-    # complex; a self-similar run carries a mirror-symmetric field's generator
-    # as the real W L W^H, so a centred datum steps in real arithmetic there
-    # too, and only the off-centre bump in complex: every CG right-hand side
-    # in the self-similar frame; the physical frame makes no CG solve, and
-    # every vector its Lanczos run applies L to has the dtype
+    # zero-field runs work in real arithmetic; both frames use a
+    # mirror-symmetric field's generator as the real W L W^H, so a centred
+    # datum, and in the physical frame the x-odd one, which folds to an
+    # imaginary vector, run in real arithmetic there too; the off-centre bump
+    # runs in complex, and so does the physical frame's shifted datum, which
+    # does not fold to a real vector and keeps the complex stencil: every CG
+    # right-hand side in the self-similar frame; the physical frame makes no
+    # CG solve, and every vector its Lanczos run applies L to has the dtype
     solved, applied = [], []
     _spy(monkeypatch, "cg", solved, lambda matrix, rhs: rhs.dtype)
     _record_lanczos(monkeypatch, applied)
-    cases = {"physical": ((zero_field, np.float64), (step_half, np.complex128)),
-             "self-similar": ((zero_field, np.float64), (step_half, np.float64),
-                              (offset_bump, np.complex128))}
-    for field, dtype in cases[frame]:
+    cases = {"physical": ((zero_field, "gaussian", np.float64),
+                          (step_half, "gaussian", np.float64),
+                          (step_half, "odd", np.float64),
+                          (offset_bump, "gaussian", np.complex128),
+                          (step_half, "shifted", np.complex128)),
+             "self-similar": ((zero_field, "gaussian", np.float64),
+                              (step_half, "gaussian", np.float64),
+                              (offset_bump, "gaussian", np.complex128))}
+    for field, datum, dtype in cases[frame]:
         solved.clear()
         applied.clear()
-        _run(frame, field, 3)
+        # one physical step: the shifted datum reaches the wall at the second
+        _run(frame, field, 3 if frame == "self-similar" else 1, datum)
         if frame == "physical":
             assert solved == []
             assert applied and set(applied) == {np.dtype(dtype)}
@@ -138,9 +149,9 @@ def test_selfsimilar_cg_operands_are_real_for_mirror_symmetric_data(monkeypatch,
                                                                    offset_bump):
     # the operator, the right-hand side and the preconditioner's output of
     # every CG solve: float64 for the half-flux step and the centred datum,
-    # which fold to a real generator and a real vector; complex for the
-    # offset bump, whose generator stays complex, and the data of the x-odd
-    # datum, which folds to an imaginary vector under the real generator
+    # which fold to a real generator and a real vector, and for the x-odd
+    # datum, which folds to an imaginary vector and steps rotated by -i;
+    # complex for the offset bump, whose generator stays complex
     import magheat.evolve as ev
 
     inner, seen = ev.cg, []
@@ -154,7 +165,7 @@ def test_selfsimilar_cg_operands_are_real_for_mirror_symmetric_data(monkeypatch,
     real, cplx = np.dtype(np.float64), np.dtype(complex)
     for field, odd, dtypes in ((step_half, False, (real, real, real)),
                                (offset_bump, False, (cplx, cplx, cplx)),
-                               (step_half, True, (real, cplx, cplx))):
+                               (step_half, True, (real, real, real))):
         seen.clear()
         v0 = mh.gaussian_state(grid, 1.0, frame="self-similar", odd=odd)
         mh.evolve_selfsimilar(field, v0, 0.1, 0.05)
@@ -497,6 +508,43 @@ def test_selfsimilar_steps_match_direct_solves_on_fresh_generators(monkeypatch, 
         assert np.max(np.abs(traj.l2_norms / l2_norms - 1.0)) <= 1e-10, (field.kind, odd)
         got = np.array([p.boundary_mass for p in traj.points])
         assert np.max(np.abs(got / masses - 1.0)) <= 1e-8, (field.kind, odd)
+
+
+@pytest.mark.parametrize("n", [48, 49])
+def test_physical_folded_runs_match_the_complex_stencil(monkeypatch, step_half, n):
+    # a physical run of a mirror-symmetric field takes its Lanczos quadrature
+    # on the real W L W^H when its datum folds to a vector real up to a factor
+    # i (the centred Gaussian, and the x-odd one, rotated by -i), and on the
+    # complex stencil otherwise (the shifted one); its norms, ring shares and
+    # weighted norm agree with a run on the complex stencil (a few 1e-15 in
+    # practice), for the half-flux step and a dipole pair on the y-axis; the
+    # odd grid has a centre row
+    import magheat.evolve as ev
+    from magheat.decay import _initial_state
+
+    dipole_y = mh.make_field("dipole-pair", {"b0": 1.0, "r": 0.5, "center": [0.0, 1.5]})
+    inner, folds = ev.assemble_magnetic, []
+
+    def spy(phases, harmonic, folded=False):
+        folds.append(folded)
+        return inner(phases, harmonic, folded)
+
+    monkeypatch.setattr(ev, "assemble_magnetic", spy)
+    grid = mh.build_grid(8.0, n)
+    for field in (step_half, dipole_y):
+        for datum in ("gaussian", "shifted", "odd"):
+            u0 = _initial_state(datum, grid, 1.0)
+            folds.clear()
+            got = mh.evolve_physical(field, u0, 0.5, 0.1)
+            with monkeypatch.context() as patch:
+                patch.setattr(ev, "_carries_folded", lambda field: False)
+                want = mh.evolve_physical(field, u0, 0.5, 0.1)
+            assert folds == [datum != "shifted", False], (field.kind, datum)
+            a, b = (np.array([p.l2_norm for p in traj.points]
+                             + [p.boundary_mass for p in traj.points]
+                             + [traj.points[0].k_norm]) for traj in (got, want))
+            assert np.all(b > 0.0)
+            assert np.max(np.abs(a / b - 1.0)) <= 1e-10, (field.kind, datum)
 
 
 def _check_carried_generator(monkeypatch, request, field_name, n, run, calls):
